@@ -5,10 +5,12 @@
 //! [`crate::Kernel::configure`]; every knob (engine, memory mode, icache
 //! policy, trace parameters, fault plan, profiler period, obs ring size)
 //! lives here. [`FaultSession`] is the kernel's live
-//! state for one [`FaultPlan`]: architectural counters (retired
-//! instructions, syscall occurrences, scheduling rounds) plus pending
-//! permission restorations — all of which advance identically under the
-//! block engine and the stepwise oracle.
+//! state for one [`FaultPlan`]: architectural counters (syscall
+//! occurrences, scheduling rounds) plus pending permission restorations.
+//! It and [`ProfSession`] keep only their next-stop cursors; the retired
+//! instructions they are keyed by come from the kernel's one retired
+//! clock ([`crate::Kernel::retired`]), which advances identically under
+//! every engine.
 
 use crate::process::Pid;
 use crate::record::RecordSpec;
@@ -193,8 +195,6 @@ impl EngineConfig {
 pub(crate) struct FaultSession {
     /// The plan being applied.
     pub plan: FaultPlan,
-    /// Retired guest instructions (architectural; engine-invariant).
-    pub retired: u64,
     /// Plan boundaries strictly below this have fired. Injection retires
     /// no instructions, so without the cursor a boundary would re-fire
     /// forever at the same retired count.
@@ -209,16 +209,15 @@ pub(crate) struct FaultSession {
     pub round: u64,
 }
 
-/// Kernel-side state for the sampling profiler: like [`FaultSession`],
-/// it counts retired instructions (engine-invariant) and caps block
-/// budgets so sample boundaries land at identical architectural
-/// instructions under both engines.
+/// Kernel-side state for the sampling profiler: the next sample boundary
+/// on the kernel's retired clock. The kernel caps block budgets at it, so
+/// samples land at identical architectural instructions under every
+/// engine.
 pub(crate) struct ProfSession {
     /// Sample period in retired instructions (≥ 1).
     pub period: u64,
-    /// Retired guest instructions.
-    pub retired: u64,
-    /// Next sample boundary (strictly greater than the last one taken).
+    /// Next sample boundary: the first multiple of `period` above the
+    /// last retired count a sample was due at.
     pub next: u64,
 }
 
@@ -227,15 +226,18 @@ impl ProfSession {
         let period = period.max(1);
         ProfSession {
             period,
-            retired: 0,
             next: period,
         }
     }
 
-    /// True when the boundary is reached; the caller takes the sample
-    /// and advances [`ProfSession::next`].
-    pub fn due(&self) -> bool {
-        self.retired >= self.next
+    /// Moves [`ProfSession::next`] past `retired`; true when a boundary
+    /// was reached (the caller takes one sample).
+    pub fn pass(&mut self, retired: u64) -> bool {
+        if retired < self.next {
+            return false;
+        }
+        self.next += ((retired - self.next) / self.period + 1) * self.period;
+        true
     }
 }
 
@@ -243,7 +245,6 @@ impl FaultSession {
     pub fn new(plan: FaultPlan) -> FaultSession {
         FaultSession {
             plan,
-            retired: 0,
             fired_until: 0,
             occurrences: BTreeMap::new(),
             restores: Vec::new(),
@@ -251,21 +252,12 @@ impl FaultSession {
         }
     }
 
-    /// The next boundary (plan event or scheduled restore) the engines
-    /// must stop at, skipping plan boundaries that already fired.
-    pub fn next_stop(&self) -> Option<u64> {
-        let from = self.retired.max(self.fired_until);
-        let plan_next = self.plan.next_boundary(from);
+    /// The next boundary (plan event or scheduled restore) at or after
+    /// `retired` the engines must stop at, skipping plan boundaries that
+    /// already fired. Due when it is at most `retired`.
+    pub fn next_stop(&self, retired: u64) -> Option<u64> {
+        let plan_next = self.plan.next_boundary(retired.max(self.fired_until));
         let restore_next = self.restores.iter().map(|r| r.0).min();
-        match (plan_next, restore_next) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// True if a boundary is due at (or overdue for) the current retired
-    /// count.
-    pub fn due(&self) -> bool {
-        self.next_stop().is_some_and(|s| s <= self.retired)
+        plan_next.into_iter().chain(restore_next).min()
     }
 }

@@ -21,12 +21,30 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
-/// Folds a run of `count` identical trivial syscalls (`nr_` issued from
-/// `site`) into the process statistics — the same updates, in the same
-/// order, as `handle_syscall_slow`'s count block, resolved through the
-/// same per-`(site, mapping generation)` region memo. Used by the hot
-/// slice loop, which batches consecutive identical syscalls and flushes
-/// before anything else can observe the stats.
+/// The mapped-region name containing `site`, resolved through the
+/// per-process `(site, mapping generation)` memo: the linear mapping walk
+/// and the name allocation happen once per site and mapping generation,
+/// not once per syscall.
+fn memo_region<'a>(
+    region_cache: &'a mut sim_cpu::FastMap<u64, (u64, String)>,
+    space: &AddressSpace,
+    site: u64,
+) -> &'a String {
+    let gen = space.generation();
+    if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
+        let name = space
+            .mapping_at(site)
+            .map(|m| m.name.clone())
+            .unwrap_or_else(|| "?".to_string());
+        region_cache.insert(site, (gen, name));
+    }
+    &region_cache[&site].1
+}
+
+/// Counts `count` executions of syscall `nr_` issued from `site` into
+/// the process statistics. The one statistics update of every kernel
+/// entry path: the full walk and the direct path count one call, the
+/// hot loop a batched run (see [`StatsBatch`]).
 fn flush_syscall_stats(
     stats: &mut crate::process::ProcStats,
     region_cache: &mut sim_cpu::FastMap<u64, (u64, String)>,
@@ -38,15 +56,7 @@ fn flush_syscall_stats(
 ) {
     stats.syscalls += count;
     *stats.per_syscall.entry(nr_).or_insert(0) += count;
-    let gen = space.generation();
-    if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-        let name = space
-            .mapping_at(site)
-            .map(|m| m.name.clone())
-            .unwrap_or_else(|| "?".to_string());
-        region_cache.insert(site, (gen, name));
-    }
-    let region = &region_cache[&site].1;
+    let region = memo_region(region_cache, space, site);
     match stats.syscalls_via.get_mut(region.as_str()) {
         Some(c) => *c += count,
         None => {
@@ -56,6 +66,105 @@ fn flush_syscall_stats(
     *stats.per_site.entry(site).or_insert(0) += count;
     if !interposer_live {
         stats.syscalls_before_interposer += count;
+    }
+}
+
+/// The hot loop's pending syscall-statistics run: `count` occurrences of
+/// syscall `nr` issued from `site`, not yet folded into `ProcStats`. The
+/// stress loops the hot loop serves issue the same syscall from the same
+/// site, so the fold is one memoized region lookup and five counter adds
+/// per run instead of per call. Flushed before anything else can observe
+/// the stats.
+struct StatsBatch<'a> {
+    stats: &'a mut crate::process::ProcStats,
+    region_cache: &'a mut sim_cpu::FastMap<u64, (u64, String)>,
+    interposer_live: bool,
+    nr: u64,
+    site: u64,
+    count: u64,
+}
+
+impl StatsBatch<'_> {
+    /// Adds one `nr_` issued from `site`, folding the pending run first
+    /// when it was a different syscall or site.
+    fn add(&mut self, space: &AddressSpace, nr_: u64, site: u64) {
+        if self.nr != nr_ || self.site != site {
+            self.flush(space);
+            self.nr = nr_;
+            self.site = site;
+        }
+        self.count += 1;
+    }
+
+    /// Folds the pending run into the statistics.
+    fn flush(&mut self, space: &AddressSpace) {
+        if self.count > 0 {
+            let (live, nr_, site, count) = (self.interposer_live, self.nr, self.site, self.count);
+            flush_syscall_stats(self.stats, self.region_cache, space, live, nr_, site, count);
+            self.count = 0;
+        }
+    }
+}
+
+/// Services a trivial syscall at `site` in place when `cpu`'s `rax`
+/// names one: a process-local call whose full-walk dispatch is a pure
+/// return value with no kernel state touched beyond the statistics
+/// (`SYS_NONEXISTENT` is the Table 5 stress nr). Performs the kernel
+/// entry's serialization and the return's register effects; returns the
+/// syscall number and the cycles to charge (entry plus service), or
+/// `None` with no side effects when the call needs the full walk.
+fn serve_trivial_syscall(
+    cpu: &mut Cpu,
+    space: &mut AddressSpace,
+    cost: &CostModel,
+    site: u64,
+    pid: Pid,
+    tid: Tid,
+) -> Option<(u64, u64)> {
+    let nr_ = cpu.get(Reg::Rax);
+    let ret = match nr_ {
+        nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
+        nr::SYS_GETPID => pid,
+        nr::SYS_GETTID => tid,
+        nr::SYS_GETUID => 1000,
+        nr::SYS_SCHED_YIELD => 0,
+        _ => return None,
+    };
+    // Kernel entry serializes the instruction stream (coalesced to a
+    // stamp compare while nothing in the space was written).
+    cpu.serialize(space);
+    cpu.rip = site + 2;
+    cpu.set(Reg::Rax, ret);
+    cpu.apply_syscall_clobbers(site + 2);
+    Some((nr_, cost.kernel_entry + crate::sys::service_cost(nr_, 0)))
+}
+
+/// The stepwise engine's execution primitive: exactly one [`Cpu::step`],
+/// wrapped as a one-step [`BlockExit`] so the shared slice loop handles
+/// it like a block. The CPU-level oracle itself stays untouched; this
+/// adds only the per-step observations [`Cpu::run_block`] makes (the
+/// `on_step` hook, the post-step obs range-span step, the vDSO count).
+fn step_once(
+    cpu: &mut Cpu,
+    space: &mut AddressSpace,
+    clock: u64,
+    cost: &CostModel,
+    mut on_step: impl FnMut(u64, &Step),
+) -> BlockExit {
+    let rip = cpu.rip;
+    let step = cpu.step(space, clock, cost);
+    on_step(rip, &step);
+    if sim_obs::enabled() {
+        sim_obs::span_step(clock + step.cycles, cpu.rip);
+    }
+    let vsyscall =
+        step.event == StepEvent::Executed && matches!(step.inst, Some(sim_isa::Inst::Vsyscall));
+    BlockExit {
+        event: step.event,
+        cycles: step.cycles,
+        steps: 1,
+        vdso_calls: u64::from(vsyscall),
+        inst: step.inst,
     }
 }
 
@@ -168,8 +277,6 @@ pub struct Kernel {
     pub vfs: Vfs,
     /// Loopback networking state.
     pub net: Net,
-    /// Scheduler slice, in instructions.
-    pub slice: u32,
     procs: BTreeMap<Pid, Process>,
     next_pid: Pid,
     next_tid: Tid,
@@ -191,6 +298,10 @@ pub struct Kernel {
     /// direct-path syscall loop checks it so `RunExit::Budget` still
     /// fires at the same granularity as the scheduler loop.
     run_deadline: u64,
+    /// Retired guest instructions since the last [`Kernel::configure`]:
+    /// the one engine-invariant clock the fault, profiler, and record
+    /// sessions key their boundaries by (see [`Kernel::retired`]).
+    retired: u64,
     /// Scheduler engine (see [`EngineConfig`]).
     engine: Engine,
     /// Icache policy stamped onto each core at slice entry.
@@ -221,7 +332,6 @@ impl Kernel {
             clock: 0,
             vfs: Vfs::new(),
             net: Net::default(),
-            slice: 64,
             procs: BTreeMap::new(),
             next_pid: 1,
             next_tid: 1,
@@ -236,6 +346,7 @@ impl Kernel {
             thread_cycles: sim_cpu::FastMap::default(),
             current: None,
             run_deadline: u64::MAX,
+            retired: 0,
             engine: Engine::Block,
             icache: IcacheMode::Revalidate,
             trace_params: sim_cpu::TraceParams::default(),
@@ -251,10 +362,11 @@ impl Kernel {
 
     /// Applies a typed engine configuration. The memory mode propagates
     /// to every existing address space; spaces created by later execs
-    /// inherit it too. Installing a [`FaultPlan`] resets its session
-    /// state (retired counts, occurrence counters), so configuring is
-    /// the replay point.
+    /// inherit it too. Configuring resets the retired clock and every
+    /// session's state (occurrence counters, sample and checkpoint
+    /// cursors), so configuring is the replay point.
     pub fn configure(&mut self, cfg: EngineConfig) {
+        self.retired = 0;
         self.engine = cfg.engine;
         self.icache = cfg.icache;
         self.trace_params = cfg.trace;
@@ -280,10 +392,13 @@ impl Kernel {
         }
     }
 
-    /// Retired-instruction count of the profiler session (0 when not
-    /// profiling) — the engine-invariant workload size simprof gates on.
-    pub fn prof_retired(&self) -> u64 {
-        self.prof.as_ref().map_or(0, |p| p.retired)
+    /// Guest instructions retired since the last [`Kernel::configure`]
+    /// (every step counts, including the one that enters the kernel).
+    /// Engine-invariant: profiler samples, fault-plan boundaries, record
+    /// logs, and checkpoints are all keyed by it, and simprof gates on it
+    /// as the workload size.
+    pub fn retired(&self) -> u64 {
+        self.retired
     }
 
     /// The active fault-injection plan, if one was configured (replay
@@ -817,14 +932,11 @@ impl Kernel {
             (p.ppid, chans, ports)
         };
         let (ppid, chans, ports) = (ppid_chans_ports.0, ppid_chans_ports.1, ppid_chans_ports.2);
-        if let Some(rs) = self.record.as_mut() {
-            let retired = rs.retired;
-            rs.emit(Rec::Exit {
-                retired,
-                pid,
-                status: status as u64,
-            });
-        }
+        self.record_emit(Rec::Exit {
+            retired: self.retired,
+            pid,
+            status: status as u64,
+        });
         for port in ports {
             if let Some(l) = self.net.listeners.get_mut(&port) {
                 l.refs = l.refs.saturating_sub(1);
@@ -1145,9 +1257,9 @@ impl Kernel {
             // record; unperturbed rounds are derived state and recording
             // them would dwarf the log (one round per syscall).
             if let Some((round, rot, n)) = rotated {
+                let retired = self.retired;
                 if let Some(rs) = self.record.as_mut() {
                     rs.sched_rounds += 1;
-                    let retired = rs.retired;
                     rs.emit(Rec::Sched {
                         retired,
                         round,
@@ -1168,73 +1280,59 @@ impl Kernel {
         }
     }
 
-    /// The slice budget for `tid` this round: the configured slice, or
-    /// the fault plan's adversarial preemption cap when one is active.
+    /// Scheduler slice, in instructions.
+    const SLICE: u64 = 64;
+
+    /// The slice budget for `tid` this round: [`Self::SLICE`], or the
+    /// fault plan's adversarial preemption cap when one is active.
     fn effective_slice(&self, tid: Tid) -> u64 {
-        let base = self.slice as u64;
         match &self.fault {
             Some(fs) => match fs.plan.slice_cap(fs.round, tid) {
-                Some(cap) => cap.min(base),
-                None => base,
+                Some(cap) => cap.min(Self::SLICE),
+                None => Self::SLICE,
             },
-            None => base,
+            None => Self::SLICE,
         }
     }
 
-    /// True if a fault boundary (signal injection, permission flip, or
-    /// scheduled restore) is due at the current retired count.
-    fn fault_boundary_due(&self) -> bool {
-        self.fault.as_ref().is_some_and(FaultSession::due)
+    /// The earliest retired-instruction coordinate at which an armed
+    /// session must act: a fault-plan boundary (signal injection,
+    /// permission flip, or scheduled restore), a record-session boundary
+    /// (stop target, checkpoint, or inject-mode asynchrony), or the next
+    /// profiler sample. The slice loop caps every execution budget at it,
+    /// so each engine stops at the identical architectural instruction.
+    fn next_boundary(&self) -> Option<u64> {
+        let fault = self
+            .fault
+            .as_ref()
+            .and_then(|fs| fs.next_stop(self.retired));
+        let record = self.record.as_ref().and_then(RecordSession::next_stop);
+        let prof = self.prof.as_ref().map(|ps| ps.next);
+        fault.into_iter().chain(record).chain(prof).min()
     }
 
-    /// Caps an execution budget so the engine stops exactly at the next
-    /// fault boundary — both engines then observe it at the identical
-    /// architectural instruction.
-    fn fault_capped(&self, budget: u64) -> u64 {
-        match &self.fault {
-            Some(fs) => match fs.next_stop() {
-                Some(s) => budget.min(s.saturating_sub(fs.retired).max(1)),
-                None => budget,
-            },
-            None => budget,
+    /// Applies the session boundaries due at the current retired count —
+    /// record before fault: a checkpoint captures the pre-asynchrony
+    /// state, so signal/flip records landing at the same retired count
+    /// re-apply after a restore. Profiler samples are not applied here;
+    /// the slice loop takes them right after the instructions retire.
+    /// Returns `true` when the slice must end.
+    fn apply_due_boundaries(&mut self, pid: Pid, tid: Tid) -> bool {
+        let at = self.retired;
+        if !self.record_stopped() && self.next_boundary().is_none_or(|b| b > at) {
+            return false;
         }
-    }
-
-    /// Credits retired instructions to the fault session.
-    fn fault_retire(&mut self, steps: u64) {
-        if let Some(fs) = self.fault.as_mut() {
-            fs.retired += steps;
+        if self.apply_record_boundary(pid, tid) {
+            return true;
         }
-    }
-
-    /// Caps an execution budget so the engine stops exactly at the next
-    /// profiler sample boundary; both engines then sample at the
-    /// identical architectural instruction. No-op when not profiling, so
-    /// block execution is untouched in ordinary runs.
-    fn prof_capped(&self, budget: u64) -> u64 {
-        match &self.prof {
-            Some(ps) => budget.min(ps.next.saturating_sub(ps.retired).max(1)),
-            None => budget,
+        let fault_due = self
+            .fault
+            .as_ref()
+            .is_some_and(|fs| fs.next_stop(at).is_some_and(|b| b <= at));
+        if fault_due {
+            self.apply_fault_boundary(pid, tid);
         }
-    }
-
-    /// Credits retired instructions to the profiler session and takes a
-    /// sample when a boundary is reached. Sampling reads guest state but
-    /// never writes it and charges no cycles: the profiled run's clock
-    /// stream is identical to the unprofiled one.
-    fn prof_retire_and_sample(&mut self, pid: Pid, tid: Tid, steps: u64) {
-        let Some(ps) = self.prof.as_mut() else {
-            return;
-        };
-        ps.retired += steps;
-        let mut due = false;
-        while ps.due() {
-            ps.next += ps.period;
-            due = true;
-        }
-        if due && sim_obs::enabled() {
-            self.take_prof_sample(pid, tid);
-        }
+        fault_due
     }
 
     /// Captures one profiler sample: the post-step RIP plus a
@@ -1294,42 +1392,6 @@ impl Kernel {
 
     // ---- record/replay session plumbing ------------------------------------
 
-    /// True if a record-session boundary (stop target, checkpoint, or
-    /// inject-mode asynchrony) is due at the current retired count.
-    fn record_boundary_due(&self) -> bool {
-        self.record.as_ref().is_some_and(|rs| {
-            rs.stopped
-                || rs.stop_at.is_some_and(|s| s <= rs.retired)
-                || rs.next_ckpt.is_some_and(|n| n <= rs.retired)
-                || rs.next_boundary().is_some_and(|b| b <= rs.retired)
-        })
-    }
-
-    /// Caps an execution budget so the engine stops exactly at the next
-    /// record-session boundary — like [`Kernel::fault_capped`], this puts
-    /// checkpoints, stop targets, and injected asynchrony at identical
-    /// architectural instructions under every engine.
-    fn record_capped(&self, budget: u64) -> u64 {
-        let Some(rs) = self.record.as_ref() else {
-            return budget;
-        };
-        let mut b = budget;
-        for stop in [rs.stop_at, rs.next_ckpt, rs.next_boundary()]
-            .into_iter()
-            .flatten()
-        {
-            b = b.min(stop.saturating_sub(rs.retired).max(1));
-        }
-        b
-    }
-
-    /// Credits retired instructions to the record session.
-    fn record_retire(&mut self, steps: u64) {
-        if let Some(rs) = self.record.as_mut() {
-            rs.retired += steps;
-        }
-    }
-
     /// True when the record session halted the run.
     fn record_stopped(&self) -> bool {
         self.record.as_ref().is_some_and(|rs| rs.stopped)
@@ -1349,8 +1411,9 @@ impl Kernel {
     /// asynchrony end the slice, mirroring [`Kernel::apply_fault_boundary`].
     /// Returns `true` when the slice must end.
     fn apply_record_boundary(&mut self, pid: Pid, tid: Tid) -> bool {
+        let at = self.retired;
         let due_ckpt = self.record.as_ref().is_some_and(|rs| {
-            rs.mode == RecordModeKind::Record && rs.next_ckpt.is_some_and(|n| n <= rs.retired)
+            rs.mode == RecordModeKind::Record && rs.next_ckpt.is_some_and(|n| n <= at)
         });
         if due_ckpt {
             self.take_record_checkpoint();
@@ -1363,11 +1426,11 @@ impl Kernel {
             if rs.stopped {
                 return true;
             }
-            if rs.stop_at.is_some_and(|s| s <= rs.retired) {
+            if rs.stop_at.is_some_and(|s| s <= at) {
                 rs.stopped = true;
                 return true;
             }
-            while rs.bcursor < rs.boundaries.len() && rs.boundaries[rs.bcursor].0 <= rs.retired {
+            while rs.bcursor < rs.boundaries.len() && rs.boundaries[rs.bcursor].0 <= at {
                 due_actions.push(rs.boundaries[rs.bcursor].1);
                 rs.bcursor += 1;
             }
@@ -1433,6 +1496,7 @@ impl Kernel {
     /// additionally snapshots the pages the syscall wrote.
     fn record_syscall_ret(&mut self, pid: Pid, tid: Tid, nr_: u64, site: u64, ret: u64) {
         let clock = self.clock;
+        let retired = self.retired;
         let Some(rs) = self.record.as_mut() else {
             return;
         };
@@ -1445,7 +1509,6 @@ impl Kernel {
             RecordModeKind::Record | RecordModeKind::Verify => {
                 let entry = rs.entry_clock.remove(&(pid, tid)).unwrap_or(clock);
                 let cycles = clock.saturating_sub(entry);
-                let retired = rs.retired;
                 let nav = rs.mode == RecordModeKind::Record && rs.ckpt_period > 0;
                 let mut writes: Vec<(u64, Vec<u8>)> = Vec::new();
                 if nav {
@@ -1481,11 +1544,11 @@ impl Kernel {
     /// the start instead.
     fn take_record_checkpoint(&mut self) {
         let clock = self.clock;
+        let retired = self.retired;
         let single = self.procs.len() == 1;
         let Some(rs) = self.record.as_mut() else {
             return;
         };
-        let retired = rs.retired;
         while let Some(n) = rs.next_ckpt {
             if n <= retired {
                 rs.next_ckpt = Some(n + rs.ckpt_period);
@@ -1541,8 +1604,9 @@ impl Kernel {
     /// checkpoint in the prefix are applied in order (later deltas win),
     /// then the last checkpoint's thread/signal/seccomp state. CPU caches
     /// are reset — clock-invisible, since the cost model charges per
-    /// instruction regardless of decode-cache state — and the record
-    /// session's retired/log coordinates are aligned to the boundary.
+    /// instruction regardless of decode-cache state. The retired clock
+    /// moves to the boundary, and the record session's log cursors and
+    /// the next profiler sample are aligned to it.
     ///
     /// # Errors
     ///
@@ -1586,8 +1650,11 @@ impl Kernel {
         if sim_obs::enabled() {
             sim_obs::set_clock(self.clock);
         }
+        self.retired = ckpt.retired;
+        if let Some(ps) = self.prof.as_mut() {
+            ps.pass(ckpt.retired);
+        }
         if let Some(rs) = self.record.as_mut() {
-            rs.retired = ckpt.retired;
             rs.cursor = ckpt.cursor;
             rs.bcursor = rs
                 .boundaries
@@ -1600,18 +1667,20 @@ impl Kernel {
         Ok(())
     }
 
-    /// Runs until the record session has retired `target` guest
-    /// instructions (or the run otherwise ends): the time-travel seek
+    /// Runs until [`Kernel::retired`] reaches `target` (or the run
+    /// otherwise ends) under a record session: the time-travel seek
     /// primitive. Returns [`RunExit::Stop`] when the target was reached.
     pub fn run_to_retired(&mut self, target: u64, max_cycles: u64) -> RunExit {
+        let reached = self.retired >= target;
         if let Some(rs) = self.record.as_mut() {
             rs.stop_at = Some(target);
-            rs.stopped = rs.retired >= target;
+            rs.stopped = reached;
         }
         let exit = self.run(max_cycles);
+        let reached = self.retired >= target;
         if let Some(rs) = self.record.as_mut() {
             rs.stop_at = None;
-            if rs.divergence.is_none() && rs.retired >= target {
+            if rs.divergence.is_none() && reached {
                 rs.stopped = false;
             }
         }
@@ -1619,12 +1688,6 @@ impl Kernel {
     }
 
     // ---- record/replay public accessors ------------------------------------
-
-    /// Retired-instruction count of the record session (0 when not
-    /// recording) — the engine-invariant coordinate logs are keyed by.
-    pub fn record_retired(&self) -> u64 {
-        self.record.as_ref().map_or(0, |rs| rs.retired)
-    }
 
     /// The first mismatch a verifying replay found, if any.
     pub fn record_divergence(&self) -> Option<&Divergence> {
@@ -1666,11 +1729,11 @@ impl Kernel {
     /// instructions — cannot re-fire at the same retired count.
     fn apply_fault_boundary(&mut self, pid: Pid, tid: Tid) {
         let clock = self.clock;
+        let at = self.retired;
         let obs = sim_obs::enabled();
         let Some(fs) = self.fault.as_mut() else {
             return;
         };
-        let at = fs.retired;
         fs.fired_until = at + 1;
         let mut due_restores = Vec::new();
         fs.restores.retain(|r| {
@@ -1770,10 +1833,16 @@ impl Kernel {
 
     /// Runs `(pid, tid)` for up to one scheduler slice.
     ///
-    /// Dispatches to the block-based fast engine or, when
-    /// [`EngineConfig`] selected it, the original per-step loop. Both
-    /// produce identical clocks, stats, and guest-visible behavior —
-    /// enforced by the determinism regression tests.
+    /// One loop serves every engine; only the execution primitive
+    /// differs. Block and trace run [`Cpu::run_block`], which executes
+    /// straight-line guest code without per-instruction scheduler
+    /// overhead and returns at kernel-relevant events; the stepwise
+    /// oracle runs [`step_once`], exactly one [`Cpu::step`]. A slice can
+    /// span several blocks when hostcalls (`int3`) occur mid-slice, since
+    /// hostcalls may mutate any kernel or guest state. Every budget is
+    /// capped at [`Kernel::next_boundary`], so all engines produce
+    /// identical clocks, stats, and guest-visible behavior — enforced by
+    /// the determinism regression tests.
     fn run_slice(&mut self, pid: Pid, tid: Tid) {
         if sim_obs::enabled() {
             if self.current != Some((pid, tid)) {
@@ -1782,35 +1851,13 @@ impl Kernel {
                 sim_obs::set_cpu(pid, tid);
             }
         }
-        match self.engine {
-            Engine::Stepwise => self.run_slice_stepwise(pid, tid),
-            // The trace engine shares the block slice loop: the same
-            // budget capping makes fault, profiler, and slice boundaries
-            // land on identical instructions; only the core-level
-            // execution strategy differs.
-            Engine::Block | Engine::Trace => self.run_slice_blocks(pid, tid),
-        }
-    }
-
-    /// Block-based slice: [`Cpu::run_block`] executes straight-line guest
-    /// code without per-instruction scheduler overhead, returning at
-    /// kernel-relevant events. A slice can span several blocks when
-    /// hostcalls (`int3`) occur mid-slice, since hostcalls may mutate any
-    /// kernel or guest state.
-    fn run_slice_blocks(&mut self, pid: Pid, tid: Tid) {
         self.current = Some((pid, tid));
         let icache = self.icache;
+        let stepwise = self.engine == Engine::Stepwise;
         let tparams = (self.engine == Engine::Trace).then_some(self.trace_params);
         let mut remaining = self.effective_slice(tid);
         while remaining > 0 {
-            // Record boundaries come first: a checkpoint captures the
-            // pre-asynchrony state, so signal/flip records landing at the
-            // same retired count re-apply after a restore.
-            if self.record_boundary_due() && self.apply_record_boundary(pid, tid) {
-                return;
-            }
-            if self.fault_boundary_due() {
-                self.apply_fault_boundary(pid, tid);
+            if self.apply_due_boundaries(pid, tid) {
                 return;
             }
             // Single-threaded hot path: alternate block/trace execution
@@ -1818,7 +1865,7 @@ impl Kernel {
             // with clock/cycle/stat accounting batched and flushed at
             // exact retired-instruction boundaries. Falls out with a
             // pending block exit when anything needs the general path;
-            // the loop below then handles that exit exactly as if it had
+            // the code below then handles that exit exactly as if it had
             // produced it itself.
             let hot = if self.hot_slice_ok(pid, tid) {
                 let Some(block) = self.run_slice_hot(pid, tid, icache, tparams, &mut remaining)
@@ -1829,7 +1876,10 @@ impl Kernel {
             } else {
                 None
             };
-            let budget = self.record_capped(self.prof_capped(self.fault_capped(remaining)));
+            let budget = match self.next_boundary() {
+                Some(b) => remaining.min(b.saturating_sub(self.retired).max(1)),
+                None => remaining,
+            };
             let clock = self.clock;
             let cost = self.cost;
             let mut trace = self.exec_trace.take();
@@ -1854,28 +1904,37 @@ impl Kernel {
                     return;
                 }
                 let mut traced_clock = clock;
+                let on_step = |rip, step: &Step| {
+                    if let Some(rec) = trace.as_mut() {
+                        traced_clock += step.cycles;
+                        rec.push(TraceEntry {
+                            pid,
+                            tid,
+                            rip,
+                            clock: traced_clock,
+                            event: step.event,
+                        });
+                    }
+                };
                 t.cpu.set_icache_mode(icache);
                 t.cpu.set_trace_mode(tparams);
-                t.cpu
-                    .run_block(space, clock, &cost, budget, |rip, step: &Step| {
-                        if let Some(rec) = trace.as_mut() {
-                            traced_clock += step.cycles;
-                            rec.push(TraceEntry {
-                                pid,
-                                tid,
-                                rip,
-                                clock: traced_clock,
-                                event: step.event,
-                            });
-                        }
-                    })
+                if stepwise {
+                    step_once(&mut t.cpu, space, clock, &cost, on_step)
+                } else {
+                    t.cpu.run_block(space, clock, &cost, budget, on_step)
+                }
             };
             self.exec_trace = trace;
             self.charge(block.cycles);
             remaining -= block.steps;
-            self.fault_retire(block.steps);
-            self.record_retire(block.steps);
-            self.prof_retire_and_sample(pid, tid, block.steps);
+            self.retired += block.steps;
+            // Sampling reads guest state but never writes it and charges
+            // no cycles: the profiled run's clock stream is identical to
+            // the unprofiled one.
+            let sample = self.prof.as_mut().is_some_and(|ps| ps.pass(self.retired));
+            if sample && sim_obs::enabled() {
+                self.take_prof_sample(pid, tid);
+            }
             if block.vdso_calls > 0 {
                 if let Some(p) = self.procs.get_mut(&pid) {
                     p.stats.vdso_calls += block.vdso_calls;
@@ -1943,16 +2002,18 @@ impl Kernel {
             })
     }
 
-    /// True when [`Kernel::run_slice_hot`] may run: no instrumentation
-    /// (obs, fault session, interposer stack, profiler, syscall log,
-    /// tracers) is armed, the
+    /// True when [`Kernel::run_slice_hot`] may run: a block engine (not
+    /// the stepwise oracle) with no instrumentation (obs, fault session,
+    /// interposer stack, profiler, record, audit, syscall log, tracers)
+    /// armed, the
     /// machine has exactly one process with exactly one runnable thread
     /// (the current one), no seccomp filter is installed, no deferred
     /// writes are queued, and the run deadline is not reached. Everything
     /// that could invalidate these conditions — arming syscalls,
     /// hostcalls, thread creation — exits the hot loop first.
     fn hot_slice_ok(&self, pid: Pid, tid: Tid) -> bool {
-        !sim_obs::enabled()
+        self.engine != Engine::Stepwise
+            && !sim_obs::enabled()
             && self.fault.is_none()
             && self.stack.is_none()
             && self.prof.is_none()
@@ -2000,19 +2061,11 @@ impl Kernel {
     ) -> Option<BlockExit> {
         let cost = self.cost;
         let deadline = self.run_deadline;
-        let slice = self.slice as u64;
         let mut exec_trace = self.exec_trace.take();
         let mut clock = self.clock;
+        let mut retired = self.retired;
         let mut cycles_acc = 0u64;
         let mut vdso_acc = 0u64;
-        // Pending syscall-statistics run: `pend` occurrences of syscall
-        // `pend_nr` issued from `pend_site`, not yet folded into
-        // `ProcStats`. The stress loops this path serves issue the same
-        // syscall from the same site, so the fold is one memoized region
-        // lookup and five counter adds per run instead of per call.
-        let mut pend_nr = 0u64;
-        let mut pend_site = 0u64;
-        let mut pend = 0u64;
         let result;
         {
             let p = self.procs.get_mut(&pid).expect("hot_slice_ok checked");
@@ -2028,9 +2081,18 @@ impl Kernel {
             t.cpu.set_icache_mode(icache);
             t.cpu.set_trace_mode(tparams);
             // Constant for the whole hot slice: only non-trivial syscalls
-            // (which exit this loop) can arm SUD or set `restarting`.
+            // (which exit this loop) can arm SUD, set `restarting`, or
+            // make the interposer live.
             let restarting = t.restarting;
             let sud_armed = t.sud.is_some();
+            let mut batch = StatsBatch {
+                stats,
+                region_cache,
+                interposer_live: *interposer_live,
+                nr: 0,
+                site: 0,
+                count: 0,
+            };
             result = loop {
                 let budget = *remaining;
                 // Shared between the step hook and the syscall hook (a
@@ -2047,35 +2109,12 @@ impl Kernel {
                         if restarting || sud_armed {
                             return HookAction::Pass;
                         }
-                        let nr_ = cpu.get(Reg::Rax);
-                        let ret = match nr_ {
-                            nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-                            nr::SYS_GETPID => pid,
-                            nr::SYS_GETTID => tid,
-                            nr::SYS_GETUID => 1000,
-                            nr::SYS_SCHED_YIELD => 0,
-                            _ => return HookAction::Pass,
+                        let Some((nr_, charge)) =
+                            serve_trivial_syscall(cpu, space, &cost, site, pid, tid)
+                        else {
+                            return HookAction::Pass;
                         };
-                        cpu.serialize(space);
-                        cpu.rip = site + 2;
-                        cpu.set(Reg::Rax, ret);
-                        cpu.apply_syscall_clobbers(site + 2);
-                        if pend > 0 && (pend_nr != nr_ || pend_site != site) {
-                            flush_syscall_stats(
-                                stats,
-                                region_cache,
-                                space,
-                                *interposer_live,
-                                pend_nr,
-                                pend_site,
-                                pend,
-                            );
-                            pend = 0;
-                        }
-                        pend_nr = nr_;
-                        pend_site = site;
-                        pend += 1;
-                        let charge = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
+                        batch.add(space, nr_, site);
                         traced_clock.set(traced_clock.get() + charge);
                         HookAction::Handled {
                             charge,
@@ -2115,186 +2154,44 @@ impl Kernel {
                         &mut syscall_fast,
                     )
                 };
-                match block.event {
-                    StepEvent::Syscall { site, .. } if !t.restarting && t.sud.is_none() => {
-                        let nr_ = t.cpu.get(Reg::Rax);
-                        // Same trivial-syscall set as handle_syscall_fast:
-                        // a pure return value, no kernel state beyond the
-                        // statistics.
-                        let ret = match nr_ {
-                            nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-                            nr::SYS_GETPID => pid,
-                            nr::SYS_GETTID => tid,
-                            nr::SYS_GETUID => 1000,
-                            nr::SYS_SCHED_YIELD => 0,
-                            _ => break Some(block),
+                let charge = match block.event {
+                    StepEvent::Syscall { site, .. } if !restarting && !sud_armed => {
+                        let Some((nr_, charge)) =
+                            serve_trivial_syscall(&mut t.cpu, space, &cost, site, pid, tid)
+                        else {
+                            break Some(block);
                         };
-                        clock += block.cycles;
-                        cycles_acc += block.cycles;
-                        vdso_acc += block.vdso_calls;
-                        // Kernel entry serializes the instruction stream
-                        // (coalesced to a stamp compare while nothing in
-                        // the space was written).
-                        t.cpu.serialize(space);
-                        t.cpu.rip = site + 2;
-                        t.cpu.set(Reg::Rax, ret);
-                        t.cpu.apply_syscall_clobbers(site + 2);
-                        if pend > 0 && (pend_nr != nr_ || pend_site != site) {
-                            flush_syscall_stats(
-                                stats,
-                                region_cache,
-                                space,
-                                *interposer_live,
-                                pend_nr,
-                                pend_site,
-                                pend,
-                            );
-                            pend = 0;
-                        }
-                        pend_nr = nr_;
-                        pend_site = site;
-                        pend += 1;
-                        let c = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
-                        clock += c;
-                        cycles_acc += c;
-                        if clock >= deadline {
-                            *remaining = 0;
-                            break None;
-                        }
-                        // Direct-path return: start the next slice here.
-                        *remaining = slice;
+                        batch.add(space, nr_, site);
+                        charge
                     }
-                    StepEvent::Executed => {
-                        // Budget exhausted: the slice is over, and the
-                        // scheduler round that follows is a no-op, so
-                        // start the next slice in place.
-                        clock += block.cycles;
-                        cycles_acc += block.cycles;
-                        vdso_acc += block.vdso_calls;
-                        if clock >= deadline {
-                            *remaining = 0;
-                            break None;
-                        }
-                        *remaining = slice;
-                    }
+                    StepEvent::Executed => 0,
                     // Hlt, Int3, Fault, restarting or SUD-armed syscalls:
                     // hand the exit (accounting unapplied) to the caller.
                     _ => break Some(block),
+                };
+                clock += block.cycles + charge;
+                cycles_acc += block.cycles + charge;
+                vdso_acc += block.vdso_calls;
+                retired += block.steps;
+                if clock >= deadline {
+                    *remaining = 0;
+                    break None;
                 }
+                // Budget exhausted or direct-path return: the slice is
+                // over, and the scheduler round that follows is a no-op,
+                // so start the next slice in place.
+                *remaining = Self::SLICE;
             };
-            if pend > 0 {
-                flush_syscall_stats(
-                    stats,
-                    region_cache,
-                    space,
-                    *interposer_live,
-                    pend_nr,
-                    pend_site,
-                    pend,
-                );
-            }
-            stats.vdso_calls += vdso_acc;
+            batch.flush(space);
+            batch.stats.vdso_calls += vdso_acc;
         }
         self.exec_trace = exec_trace;
         self.clock = clock;
+        self.retired = retired;
         if cycles_acc > 0 {
             *self.thread_cycles.entry((pid, tid)).or_insert(0) += cycles_acc;
         }
         result
-    }
-
-    /// The original per-step slice loop, retained verbatim as the
-    /// determinism oracle and benchmarking baseline.
-    fn run_slice_stepwise(&mut self, pid: Pid, tid: Tid) {
-        self.current = Some((pid, tid));
-        let icache = self.icache;
-        let slice = self.effective_slice(tid);
-        for _ in 0..slice {
-            // Same ordering as the block engine: checkpoint before any
-            // asynchrony due at the same retired count.
-            if self.record_boundary_due() && self.apply_record_boundary(pid, tid) {
-                return;
-            }
-            if self.fault_boundary_due() {
-                self.apply_fault_boundary(pid, tid);
-                return;
-            }
-            let clock = self.clock;
-            let cost = self.cost;
-            let (step, rip) = {
-                let Some(p) = self.procs.get_mut(&pid) else {
-                    return;
-                };
-                if p.exit_status.is_some() {
-                    return;
-                }
-                let Process { space, threads, .. } = p;
-                let Some(t) = threads.iter_mut().find(|t| t.tid == tid) else {
-                    return;
-                };
-                if t.state != ThreadState::Runnable {
-                    return;
-                }
-                let rip = t.cpu.rip;
-                t.cpu.set_icache_mode(icache);
-                (t.cpu.step(space, clock, &cost), rip)
-            };
-            self.charge(step.cycles);
-            self.fault_retire(1);
-            self.record_retire(1);
-            if sim_obs::enabled() {
-                // Post-step RIP, matching the per-step hook inside
-                // `run_block` — the range-span streams are identical.
-                if let Some(rip_after) = self.cpu_mut(pid, tid).map(|c| c.rip) {
-                    sim_obs::span_step(self.clock, rip_after);
-                }
-            }
-            self.prof_retire_and_sample(pid, tid, 1);
-            if let Some(rec) = self.exec_trace.as_mut() {
-                rec.push(TraceEntry {
-                    pid,
-                    tid,
-                    rip,
-                    clock: self.clock,
-                    event: step.event,
-                });
-            }
-            match step.event {
-                StepEvent::Executed => {
-                    if matches!(step.inst, Some(sim_isa::Inst::Vsyscall)) {
-                        if let Some(p) = self.procs.get_mut(&pid) {
-                            p.stats.vdso_calls += 1;
-                        }
-                    }
-                }
-                StepEvent::Syscall { site, .. } => {
-                    self.handle_syscall(pid, tid, site);
-                    return; // end the slice at kernel entry
-                }
-                StepEvent::Hlt => {
-                    self.kill_process(pid, 0);
-                    return;
-                }
-                StepEvent::Int3 => {
-                    self.handle_int3(pid, tid);
-                }
-                StepEvent::Fault(f) => {
-                    if sim_obs::enabled() && f.reason == sim_mem::FaultReason::PkuDenied {
-                        sim_obs::pku_fault(self.clock, f.addr);
-                    }
-                    self.deliver_signal(
-                        pid,
-                        tid,
-                        SigInfo {
-                            signo: nr::SIGSEGV,
-                            fault_addr: f.addr,
-                            ..SigInfo::default()
-                        },
-                    );
-                    return;
-                }
-            }
-        }
     }
 
     fn handle_int3(&mut self, pid: Pid, tid: Tid) {
@@ -2320,23 +2217,10 @@ impl Kernel {
     /// per-process memo the stats path uses (one mapping walk per
     /// `(site, mapping generation)`).
     fn site_region(&mut self, pid: Pid, site: u64) -> String {
-        let Some(p) = self.procs.get_mut(&pid) else {
-            return "?".to_string();
-        };
-        let Process {
-            space,
-            region_cache,
-            ..
-        } = p;
-        let gen = space.generation();
-        if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-            let name = space
-                .mapping_at(site)
-                .map(|m| m.name.clone())
-                .unwrap_or_else(|| "?".to_string());
-            region_cache.insert(site, (gen, name));
+        match self.procs.get_mut(&pid) {
+            Some(p) => memo_region(&mut p.region_cache, &p.space, site).clone(),
+            None => "?".to_string(),
         }
-        region_cache[&site].1.clone()
     }
 
     /// Direct-path kernel entry for trivial process-local syscalls.
@@ -2386,51 +2270,14 @@ impl Kernel {
         if t.restarting || t.sud.is_some() {
             return false;
         }
-        let nr_ = t.cpu.get(Reg::Rax);
-        // Only syscalls whose slow-path dispatch is a pure `Disp::Ret`
-        // with no kernel state touched beyond the statistics; anything
-        // else falls back. `SYS_NONEXISTENT` is the Table 5 stress nr.
-        let ret = match nr_ {
-            nr::SYS_NONEXISTENT => nr::err(nr::ENOSYS),
-            nr::SYS_GETPID => pid,
-            nr::SYS_GETTID => tid,
-            nr::SYS_GETUID => 1000,
-            nr::SYS_SCHED_YIELD => 0,
-            _ => return false,
+        let Some((nr_, cycles)) = serve_trivial_syscall(&mut t.cpu, space, &cost, site, pid, tid)
+        else {
+            return false;
         };
-        // Kernel entry serializes the instruction stream (coalesced to a
-        // stamp compare while nothing in the space was written).
-        t.cpu.serialize(space);
-        t.cpu.rip = site + 2;
-        t.cpu.set(Reg::Rax, ret);
-        t.cpu.apply_syscall_clobbers(site + 2);
-        // Statistics — the same updates, in the same order, as the slow
-        // path's count block.
-        stats.syscalls += 1;
-        *stats.per_syscall.entry(nr_).or_insert(0) += 1;
-        let gen = space.generation();
-        if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-            let name = space
-                .mapping_at(site)
-                .map(|m| m.name.clone())
-                .unwrap_or_else(|| "?".to_string());
-            region_cache.insert(site, (gen, name));
-        }
-        let region = &region_cache[&site].1;
-        match stats.syscalls_via.get_mut(region.as_str()) {
-            Some(c) => *c += 1,
-            None => {
-                stats.syscalls_via.insert(region.clone(), 1);
-            }
-        }
-        *stats.per_site.entry(site).or_insert(0) += 1;
-        if !*interposer_live {
-            stats.syscalls_before_interposer += 1;
-        }
+        flush_syscall_stats(stats, region_cache, space, *interposer_live, nr_, site, 1);
         // One folded clock charge: entry cost plus the service cost the
         // dispatch layer would add. Obs is off (checked above), so
         // `charge`'s set_clock call would be a no-op anyway.
-        let cycles = cost.kernel_entry + crate::sys::service_cost(nr_, 0);
         self.clock += cycles;
         *self.thread_cycles.entry((pid, tid)).or_insert(0) += cycles;
         true
@@ -2670,42 +2517,18 @@ impl Kernel {
         };
 
         // Count + trace.
-        {
-            let Some(p) = self.procs.get_mut(&pid) else {
-                return;
-            };
-            p.stats.syscalls += 1;
-            *p.stats.per_syscall.entry(nr_).or_insert(0) += 1;
-            // Resolve the issuing region through the per-site memo: the
-            // linear mapping walk and the name allocation happen once per
-            // (site, mapping generation), not once per syscall.
-            let Process {
-                stats,
-                space,
-                region_cache,
-                interposer_live,
-                ..
-            } = p;
-            let gen = space.generation();
-            if !matches!(region_cache.get(&site), Some((g, _)) if *g == gen) {
-                let name = space
-                    .mapping_at(site)
-                    .map(|m| m.name.clone())
-                    .unwrap_or_else(|| "?".to_string());
-                region_cache.insert(site, (gen, name));
-            }
-            let region = &region_cache[&site].1;
-            match stats.syscalls_via.get_mut(region.as_str()) {
-                Some(c) => *c += 1,
-                None => {
-                    stats.syscalls_via.insert(region.clone(), 1);
-                }
-            }
-            *stats.per_site.entry(site).or_insert(0) += 1;
-            if !*interposer_live {
-                stats.syscalls_before_interposer += 1;
-            }
-        }
+        let Some(p) = self.procs.get_mut(&pid) else {
+            return;
+        };
+        flush_syscall_stats(
+            &mut p.stats,
+            &mut p.region_cache,
+            &p.space,
+            p.interposer_live,
+            nr_,
+            site,
+            1,
+        );
         if self.trace_log.is_some() {
             let line = format!(
                 "[pid {pid}] {}({:#x}, {:#x}, {:#x}) @ {site:#x}",
@@ -2863,11 +2686,7 @@ impl Kernel {
                 if let Some(p) = self.procs.get_mut(&pid) {
                     p.stats.syscalls -= 1;
                     *p.stats.per_syscall.entry(nr_).or_insert(1) -= 1;
-                    let region = p
-                        .space
-                        .mapping_at(site)
-                        .map(|m| m.name.clone())
-                        .unwrap_or_else(|| "?".to_string());
+                    let region = memo_region(&mut p.region_cache, &p.space, site).clone();
                     *p.stats.syscalls_via.entry(region).or_insert(1) -= 1;
                     *p.stats.per_site.entry(site).or_insert(1) -= 1;
                     if p.stats.per_site.get(&site) == Some(&0) {

@@ -10,9 +10,10 @@
 //!
 //! * **Record** — every syscall result, injected fault/signal/permission
 //!   flip, scheduler decision, and process exit is appended to the log,
-//!   keyed by the session's retired-instruction counter (credited at the
-//!   same call sites as the fault and profiler sessions, so the keys are
-//!   engine-invariant). With a checkpoint period set, the session also
+//!   keyed by the kernel's retired-instruction clock
+//!   ([`crate::Kernel::retired`], the one clock the fault and profiler
+//!   sessions are keyed by too, so the keys are engine-invariant). With a
+//!   checkpoint period set, the session also
 //!   snapshots registers + dirty pages every N retired instructions.
 //! * **Verify** — the run re-executes in full (any engine; the fault plan
 //!   from the log header must be re-installed) and every record the run
@@ -98,9 +99,6 @@ pub(crate) enum RecordModeKind {
 /// Live kernel state for one [`RecordSpec`].
 pub(crate) struct RecordSession {
     pub mode: RecordModeKind,
-    /// Retired guest instructions (architectural; engine-invariant —
-    /// credited beside the fault/profiler sessions).
-    pub retired: u64,
     /// `run_to_retired` target; the engines cap budgets to stop exactly
     /// here and [`crate::Kernel::run`] returns [`crate::RunExit::Stop`].
     pub stop_at: Option<u64>,
@@ -170,7 +168,6 @@ impl RecordSession {
         };
         RecordSession {
             mode,
-            retired: 0,
             stop_at: None,
             stopped: false,
             recs: Vec::new(),
@@ -189,9 +186,16 @@ impl RecordSession {
         }
     }
 
-    /// Retired coordinate of the next pending inject-mode boundary.
-    pub fn next_boundary(&self) -> Option<u64> {
-        self.boundaries.get(self.bcursor).map(|b| b.0)
+    /// The next retired coordinate the session must act at: the stop
+    /// target, the next checkpoint, or the next pending inject-mode
+    /// boundary. Due when it is at most the kernel's retired clock.
+    pub fn next_stop(&self) -> Option<u64> {
+        let inject = self.boundaries.get(self.bcursor).map(|b| b.0);
+        self.stop_at
+            .into_iter()
+            .chain(self.next_ckpt)
+            .chain(inject)
+            .min()
     }
 
     /// Records (record mode) or verifies (verify mode) one produced

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
+echo "==> hostbench build (separate workspace: catches kernel API breaks the benchmark depends on)"
+cargo build --release --offline --manifest-path hostbench/Cargo.toml
+
 echo "==> cargo test -q"
 cargo test -q
 

@@ -5,17 +5,20 @@
 //!    the linear sweep both misses and fabricates.
 //! 2. The engine-mode matrix (DESIGN.md §10): stepwise × block × trace
 //!    produce instruction-for-instruction identical streams — plain, under
-//!    a fault plan, and with the profiler enabled — while throughput is
-//!    monotonically non-decreasing across the three.
+//!    a fault plan, with the profiler enabled, and with every session
+//!    armed at once — while throughput is monotonically non-decreasing
+//!    across the three.
 
 use std::time::Instant;
 
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
 use interpose::{Interposer, Native};
 use pitfalls::fault::{plan_for, run_probe, run_probe_on, Scenario};
-use sim_fault::{FaultKind, FaultPlan, SyscallFault};
+use sim_fault::{FaultKind, FaultPlan, PermFlip, SignalWindow, SyscallFault};
 use sim_kernel::{nr, EngineConfig, RunExit, TraceEntry};
 use sim_loader::boot_kernel;
+use sim_obs::ProfSample;
+use sim_record::Rec;
 use zpoline::{ScanStrategy, Zpoline};
 
 fn zp(scan: ScanStrategy) -> Zpoline {
@@ -68,14 +71,24 @@ fn engines() -> [(&'static str, EngineConfig); 3] {
     ]
 }
 
-/// Runs the syscall-500 stress guest under `cfg`; returns the recorded
-/// instruction stream (when `record`), final clock, exit status, and
-/// host wall-clock seconds.
-fn run_micro(
-    cfg: EngineConfig,
-    iters: u64,
-    record: bool,
-) -> (Vec<TraceEntry>, u64, Option<i64>, f64) {
+/// Everything one engine's run of the stress guest is compared on.
+struct MicroRun {
+    /// Instruction-level stream (empty unless recorded).
+    stream: Vec<TraceEntry>,
+    clock: u64,
+    status: Option<i64>,
+    /// The kernel's retired-instruction clock at exit.
+    retired: u64,
+    /// Record-session log (empty unless recording was armed).
+    log: Vec<Rec>,
+    /// Profiler samples (empty unless observed with the profiler armed).
+    samples: Vec<ProfSample>,
+    /// Host wall-clock seconds of `Kernel::run`.
+    secs: f64,
+}
+
+/// Boots the syscall-500 stress guest; returns the kernel and its pid.
+fn boot_micro(iters: u64) -> (sim_kernel::Kernel, sim_kernel::Pid) {
     let mut k = boot_kernel();
     build_micro_app().install(&mut k.vfs);
     k.vfs
@@ -84,21 +97,34 @@ fn run_micro(
     let ip = Native;
     ip.install(&mut k);
     let pid = ip.spawn(&mut k, MICRO_APP, &[], &[]).expect("spawn");
+    (k, pid)
+}
+
+/// Runs the stress guest under `cfg`, recording the instruction stream
+/// when `record` and the sim-obs stream when `observe`.
+fn run_micro(cfg: EngineConfig, iters: u64, record: bool, observe: bool) -> MicroRun {
+    let (mut k, pid) = boot_micro(iters);
     k.configure(cfg);
     if record {
         k.start_exec_trace();
     }
+    if observe {
+        sim_obs::enable(sim_obs::ObsConfig::default());
+    }
     let t0 = Instant::now();
     let exit = k.run(u64::MAX / 4);
-    let dt = t0.elapsed().as_secs_f64();
+    let secs = t0.elapsed().as_secs_f64();
+    let samples = sim_obs::disable().map(|r| r.samples).unwrap_or_default();
     assert_eq!(exit, RunExit::AllExited);
-    let status = k.process(pid).expect("proc").exit_status;
-    let stream = if record {
-        k.take_exec_trace()
-    } else {
-        Vec::new()
-    };
-    (stream, k.clock, status, dt)
+    MicroRun {
+        stream: k.take_exec_trace(),
+        clock: k.clock,
+        status: k.process(pid).expect("proc").exit_status,
+        retired: k.retired(),
+        log: k.take_recording(),
+        samples,
+        secs,
+    }
 }
 
 /// Asserts two engines' instruction streams are bit-identical.
@@ -115,23 +141,39 @@ fn assert_streams_equal(name: &str, got: &[TraceEntry], oracle: &[TraceEntry]) {
     }
 }
 
+/// Runs the stress guest on every engine with `arm` applied to its
+/// configuration and asserts each run matches the stepwise oracle in
+/// instruction stream, clock, exit status, retired count, record log,
+/// and profiler samples. Returns the oracle's run.
+fn assert_engine_matrix(
+    iters: u64,
+    observe: bool,
+    arm: impl Fn(EngineConfig) -> EngineConfig,
+) -> MicroRun {
+    let mut oracle: Option<MicroRun> = None;
+    for (name, cfg) in engines() {
+        let run = run_micro(arm(cfg), iters, true, observe);
+        let Some(o) = &oracle else {
+            oracle = Some(run);
+            continue;
+        };
+        assert_streams_equal(name, &run.stream, &o.stream);
+        assert_eq!(run.clock, o.clock, "{name}: clock diverges");
+        assert_eq!(run.status, o.status, "{name}: status diverges");
+        assert_eq!(run.retired, o.retired, "{name}: retired count diverges");
+        assert!(run.log == o.log, "{name}: record log diverges");
+        assert_eq!(run.samples, o.samples, "{name}: profiler samples diverge");
+    }
+    oracle.expect("three engines ran")
+}
+
 /// Plain run: every engine's instruction stream, final clock, and exit
 /// status match the stepwise oracle bit-for-bit.
 #[test]
 fn engine_matrix_streams_identical() {
-    let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
-    for (name, cfg) in engines() {
-        let (stream, clock, status, _) = run_micro(cfg, 5_000, true);
-        assert!(stream.len() > 20_000, "{name}: stream too short");
-        match &oracle {
-            None => oracle = Some((stream, clock, status)),
-            Some((ref_stream, ref_clock, ref_status)) => {
-                assert_streams_equal(name, &stream, ref_stream);
-                assert_eq!(clock, *ref_clock, "{name}: clock diverges");
-                assert_eq!(status, *ref_status, "{name}: status diverges");
-            }
-        }
-    }
+    let o = assert_engine_matrix(5_000, false, |cfg| cfg);
+    assert!(o.stream.len() > 20_000, "stream too short");
+    assert_eq!(o.retired, o.stream.len() as u64, "retired clock vs stream");
 }
 
 /// Same matrix under a syscall fault plan: errno injections land at the
@@ -152,18 +194,66 @@ fn engine_matrix_streams_identical_under_fault_plan() {
             kind: FaultKind::Eagain,
         },
     ];
-    let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
-    for (name, cfg) in engines() {
-        let (stream, clock, status, _) = run_micro(cfg.fault(plan.clone()), 5_000, true);
-        match &oracle {
-            None => oracle = Some((stream, clock, status)),
-            Some((ref_stream, ref_clock, ref_status)) => {
-                assert_streams_equal(name, &stream, ref_stream);
-                assert_eq!(clock, *ref_clock, "{name}: clock diverges");
-                assert_eq!(status, *ref_status, "{name}: status diverges");
-            }
-        }
-    }
+    assert_engine_matrix(5_000, false, |cfg| cfg.fault(plan.clone()));
+}
+
+/// Every session armed at once — obs, the profiler at period 64, the
+/// coverage audit, navigation-grade recording every 4096 instructions,
+/// and a fault plan whose signal stride and permission flips (and their
+/// restores) sit on multiples of 64 — so several sessions fall due on
+/// the same retired instruction. The engines still agree on everything.
+#[test]
+fn engine_matrix_streams_identical_with_all_sessions() {
+    let iters = 5_000;
+    let page = |sym: &str| {
+        let (k, pid) = boot_micro(iters);
+        let p = k.process(pid).expect("proc");
+        let (_, addr) = p
+            .symbols
+            .iter()
+            .find(|(name, _)| name.ends_with(sym))
+            .expect("micro symbol");
+        addr & !(sim_mem::PAGE_SIZE - 1)
+    };
+    let mut plan = FaultPlan::zero(5);
+    plan.signal_window = Some(SignalWindow {
+        signo: nr::SIGUSR1,
+        start: 640,
+        end: 16_384,
+        stride: 192,
+    });
+    // Widening flips (W on code, X on data): never lethal, but each one
+    // serializes the running core like an mprotect IPI.
+    plan.perm_flips = vec![
+        PermFlip {
+            at: 4_096,
+            page: page(":main"),
+            perms: 7,
+            duration: 512,
+        },
+        PermFlip {
+            at: 8_192,
+            page: page(":count"),
+            perms: 7,
+            duration: 4_096,
+        },
+    ];
+    let o = assert_engine_matrix(iters, true, |cfg| {
+        cfg.profile(64)
+            .audit(Native.coverage())
+            .record_with_checkpoints(4_096)
+            .fault(plan.clone())
+    });
+    assert!(o.samples.len() > 100, "too few profiler samples");
+    let count = |f: fn(&Rec) -> bool| o.log.iter().filter(|r| f(r)).count();
+    assert!(
+        count(|r| matches!(r, Rec::Signal { .. })) > 10,
+        "signal window left too few records"
+    );
+    assert!(
+        count(|r| matches!(r, Rec::Flip { .. })) >= 4,
+        "flips and restores not recorded"
+    );
 }
 
 /// The fault-resilience probe under a combined plan (errno + signals +
@@ -193,18 +283,7 @@ fn engine_matrix_agrees_on_fault_probe() {
 /// block budgets mid-trace, and the streams still match the oracle.
 #[test]
 fn engine_matrix_streams_identical_with_profiler() {
-    let mut oracle: Option<(Vec<TraceEntry>, u64, Option<i64>)> = None;
-    for (name, cfg) in engines() {
-        let (stream, clock, status, _) = run_micro(cfg.profile(64), 5_000, true);
-        match &oracle {
-            None => oracle = Some((stream, clock, status)),
-            Some((ref_stream, ref_clock, ref_status)) => {
-                assert_streams_equal(name, &stream, ref_stream);
-                assert_eq!(clock, *ref_clock, "{name}: clock diverges");
-                assert_eq!(status, *ref_status, "{name}: status diverges");
-            }
-        }
-    }
+    assert_engine_matrix(5_000, false, |cfg| cfg.profile(64));
 }
 
 /// Throughput is monotonically non-decreasing across the ablation:
@@ -218,9 +297,9 @@ fn engine_matrix_throughput_ordering_monotonic() {
     for (name, cfg) in engines() {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
-            let (_, _, status, dt) = run_micro(cfg.clone(), iters, false);
-            assert_eq!(status, Some(0), "{name}: bad exit");
-            best = best.min(dt);
+            let run = run_micro(cfg.clone(), iters, false, false);
+            assert_eq!(run.status, Some(0), "{name}: bad exit");
+            best = best.min(run.secs);
         }
         rates.push((name, 1.0 / best));
     }

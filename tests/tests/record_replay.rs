@@ -8,14 +8,15 @@
 //!    the live verifier and by the offline prefix-digest bisection.
 //! 3. Time-travel navigation: seeking to a retired-instruction target
 //!    from a restored checkpoint reproduces the architectural state of a
-//!    replay from the start.
+//!    replay from the start — plain, and under a fault plan from two
+//!    different checkpoints.
 
 use std::rc::Rc;
 
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
 use interpose::{Interposer, Native};
 use sim_fault::{FaultKind, FaultPlan, SyscallFault};
-use sim_kernel::{nr, EngineConfig, Kernel, RunExit};
+use sim_kernel::{nr, Checkpoint, EngineConfig, Kernel, RunExit};
 use sim_loader::boot_kernel;
 use sim_record::{first_divergence, obs_lines, Rec};
 
@@ -215,58 +216,108 @@ fn cpu_state(k: &mut Kernel) -> (u64, Vec<u64>, u64) {
     (cpu.rip, cpu.regs.to_vec(), k.clock)
 }
 
+/// Seeks to `ckpts[at].retired + 123` twice — by inject replay from the
+/// start (stepwise engine) and by restoring checkpoint `at` and
+/// inject-replaying the remainder (block engine) — and asserts both land
+/// on the same RIP, register file, clock, and retired count. `fault`, when
+/// set, is installed on the recording and on both replays, as
+/// `simrecord --navigate` does.
+fn assert_seek_matches_replay(
+    log: &Rc<Vec<Rec>>,
+    ckpts: &[Checkpoint],
+    at: usize,
+    fault: Option<&FaultPlan>,
+    iters: u64,
+) {
+    let with = |cfg: EngineConfig| match fault {
+        Some(p) => cfg.fault(p.clone()),
+        None => cfg,
+    };
+    let target = ckpts[at].retired + 123;
+    // Reference: inject replay from the start (stepwise engine).
+    let reference = {
+        let mut k = boot_micro(iters);
+        k.configure(with(EngineConfig::stepwise()).replay_inject(Rc::clone(log)));
+        let exit = k.run_to_retired(target, u64::MAX / 4);
+        assert_eq!(exit, RunExit::Stop);
+        assert_eq!(k.retired(), target);
+        cpu_state(&mut k)
+    };
+    // Seek: restore the checkpoint, then inject-replay the remainder
+    // (block engine — cross-engine on top).
+    let sought = {
+        let mut k = boot_micro(iters);
+        k.configure(with(EngineConfig::new()).replay_inject(Rc::clone(log)));
+        k.restore_to_checkpoint(ckpts, at).expect("restore");
+        assert_eq!(k.retired(), ckpts[at].retired);
+        let exit = k.run_to_retired(target, u64::MAX / 4);
+        assert_eq!(exit, RunExit::Stop);
+        assert_eq!(k.retired(), target);
+        cpu_state(&mut k)
+    };
+    assert_eq!(sought.0, reference.0, "ck {at}: rip differs after seek");
+    assert_eq!(
+        sought.1, reference.1,
+        "ck {at}: registers differ after seek"
+    );
+    assert_eq!(sought.2, reference.2, "ck {at}: clock differs after seek");
+}
+
+/// Records the micro workload navigation-grade (block engine,
+/// checkpoints every 2000 retired instructions), optionally under a
+/// fault plan; returns the log, the checkpoint chain, and the total
+/// retired count.
+fn record_navigable(fault: Option<&FaultPlan>, iters: u64) -> (Rc<Vec<Rec>>, Vec<Checkpoint>, u64) {
+    let mut cfg = EngineConfig::new().record_with_checkpoints(2_000);
+    if let Some(p) = fault {
+        cfg = cfg.fault(p.clone());
+    }
+    let mut k = boot_micro(iters);
+    k.configure(cfg);
+    let exit = k.run(u64::MAX / 4);
+    assert_eq!(exit, RunExit::AllExited);
+    assert!(
+        k.record_chain_ok(),
+        "single-process run must keep the chain"
+    );
+    (
+        Rc::new(k.take_recording()),
+        k.take_checkpoints(),
+        k.retired(),
+    )
+}
+
 /// Time travel: a navigation-grade recording's checkpoint chain seeds a
 /// seek that reproduces the register file, RIP, clock, and retired count
 /// of an inject replay from the start.
 #[test]
 fn navigation_seek_matches_replay_from_start() {
     let iters = 2_000;
-    // Navigation-grade record (block engine): checkpoints + page writes.
-    let (log, ckpts, total) = {
-        let mut k = boot_micro(iters);
-        k.configure(EngineConfig::new().record_with_checkpoints(2_000));
-        let exit = k.run(u64::MAX / 4);
-        assert_eq!(exit, RunExit::AllExited);
-        assert!(k.record_chain_ok(), "single-process run must keep the chain");
-        (
-            Rc::new(k.take_recording()),
-            k.take_checkpoints(),
-            k.record_retired(),
-        )
-    };
+    let (log, ckpts, total) = record_navigable(None, iters);
     assert!(
         ckpts.len() >= 2,
         "expected ≥ 2 checkpoints over {total} retired instructions"
     );
     // Seek past the second checkpoint, not on a checkpoint boundary.
-    let target = ckpts[1].retired + 123;
-    assert!(target < total);
-    // Reference: inject replay from the start (stepwise engine).
-    let reference = {
-        let mut k = boot_micro(iters);
-        k.configure(EngineConfig::stepwise().replay_inject(Rc::clone(&log)));
-        let exit = k.run_to_retired(target, u64::MAX / 4);
-        assert_eq!(exit, RunExit::Stop);
-        assert_eq!(k.record_retired(), target);
-        cpu_state(&mut k)
-    };
-    // Seek: restore the nearest checkpoint at or below the target, then
-    // inject-replay the remainder (block engine — cross-engine on top).
-    let sought = {
-        let mut k = boot_micro(iters);
-        k.configure(EngineConfig::new().replay_inject(Rc::clone(&log)));
-        let at = ckpts
-            .iter()
-            .rposition(|c| c.retired <= target)
-            .expect("no checkpoint below target");
-        k.restore_to_checkpoint(&ckpts, at).expect("restore");
-        assert_eq!(k.record_retired(), ckpts[at].retired);
-        let exit = k.run_to_retired(target, u64::MAX / 4);
-        assert_eq!(exit, RunExit::Stop);
-        assert_eq!(k.record_retired(), target);
-        cpu_state(&mut k)
-    };
-    assert_eq!(sought.0, reference.0, "rip differs after seek");
-    assert_eq!(sought.1, reference.1, "registers differ after seek");
-    assert_eq!(sought.2, reference.2, "clock differs after seek");
+    assert!(ckpts[1].retired + 123 < total);
+    assert_seek_matches_replay(&log, &ckpts, 1, None, iters);
+}
+
+/// The same seek with the fault plan installed on the recording and on
+/// both replays: restoring a checkpoint moves the one retired clock the
+/// fault, profiler, and record sessions share, so a seek from two
+/// different checkpoints still matches an inject replay from the start.
+#[test]
+fn navigation_seek_under_fault_plan_matches_replay_from_start() {
+    let iters = 2_000;
+    let plan = plan();
+    let (log, ckpts, total) = record_navigable(Some(&plan), iters);
+    assert!(
+        ckpts.len() >= 4,
+        "expected ≥ 4 checkpoints over {total} retired instructions"
+    );
+    assert!(ckpts[3].retired + 123 < total);
+    for at in [1, 3] {
+        assert_seek_matches_replay(&log, &ckpts, at, Some(&plan), iters);
+    }
 }
