@@ -503,71 +503,9 @@ pub fn matrix_json(rows: &[AuditRow], server_name: &str) -> sjson::Value {
     ])
 }
 
-/// Parses `(mechanism, workload, coverage-permille)` rows back out of a
-/// rendered matrix (the committed baseline, for the bench gate).
-pub fn parse_matrix_rows(text: &str) -> Vec<(String, String, u64)> {
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let f: Vec<&str> = line.split_whitespace().collect();
-        if f.len() >= 8 && f[0] != "mechanism" {
-            if let Some(p) = parse_pct(f[3]) {
-                out.push((f[0].to_string(), f[1].to_string(), p));
-            }
-        }
-    }
-    out
-}
-
-fn parse_pct(s: &str) -> Option<u64> {
-    let s = s.strip_suffix('%')?;
-    let (whole, tenth) = s.split_once('.')?;
-    Some(whole.parse::<u64>().ok()? * 10 + tenth.parse::<u64>().ok()?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn matrix_rows_roundtrip_through_the_renderer() {
-        let rows = vec![
-            AuditRow {
-                spec: "zpoline".into(),
-                workload: "coreutil",
-                totals: {
-                    let mut t = ProcAudit {
-                        interposed_path: 97,
-                        ..ProcAudit::default()
-                    };
-                    t.bypassed.insert(Signature::PreInit, 3);
-                    t
-                },
-                procs: 1,
-            },
-            AuditRow {
-                spec: "native".into(),
-                workload: "server",
-                totals: {
-                    let mut t = ProcAudit::default();
-                    t.bypassed.insert(Signature::Uncovered, 50);
-                    t
-                },
-                procs: 2,
-            },
-        ];
-        let text = render_audit_matrix(&rows, "nginx (1 worker, 0 KB)");
-        let parsed = parse_matrix_rows(&text);
-        assert_eq!(
-            parsed,
-            vec![
-                ("zpoline".to_string(), "coreutil".to_string(), 970),
-                ("native".to_string(), "server".to_string(), 0),
-            ]
-        );
-        assert!(text.contains("P2b-preinit=3"));
-        assert!(text.contains("uncovered=50"));
-        assert!(text.contains("signatures:"));
-    }
 
     #[test]
     fn audit_spec_list_covers_registry_and_stacks() {

@@ -9,7 +9,7 @@ fn main() {
     print!("{}\n\n", bench::table2::render_table2(&rows));
     println!("Table 3 — interposers vs pitfalls\n");
     print!("{}\n\n", pitfalls::render_matrix(&pitfalls::full_matrix()));
-    let n = 2_000_000 / bench::scale().max(1);
+    let n = 2_000_000 / bench::scale();
     println!("Table 5 — microbenchmark overhead (x{n})\n");
     print!("{}\n\n", bench::micro::render_table5(&bench::micro::run_table5(n)));
     println!("Table 6 — macrobenchmarks\n");

@@ -22,24 +22,15 @@
 //! ```
 
 use bench::audit::{
-    full_audit_matrix, matrix_json, parse_matrix_rows, render_audit_matrix, render_cell, run_cell,
-    server_spec,
+    full_audit_matrix, matrix_json, render_audit_matrix, render_cell, run_cell, server_spec,
 };
+use bench::report;
 use sim_kernel::EngineConfig;
 use std::process::ExitCode;
 
-fn engine_cfg(engine: &str) -> Result<EngineConfig, String> {
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
-
 fn sweep(engine: &str, json_out: Option<&str>, text_out: Option<&str>) -> Result<String, String> {
-    engine_cfg(engine)?;
-    let rows = full_audit_matrix(|| engine_cfg(engine).expect("validated above"));
+    bench::engine_cfg(engine)?;
+    let rows = full_audit_matrix(|| bench::engine_cfg(engine).expect("validated above"));
     let server = server_spec().name;
     let text = render_audit_matrix(&rows, &server);
     if let Some(path) = json_out {
@@ -62,46 +53,6 @@ fn replay(spec: &str, workload: &str) -> Result<String, String> {
     }
     let ledger = run_cell(spec, workload, EngineConfig::new());
     Ok(render_cell(spec, workload, &ledger))
-}
-
-/// Re-runs the sweep and fails if any cell's coverage fell below the
-/// committed baseline (new cells pass; a removed cell fails).
-fn gate(baseline_path: &str) -> Result<(), String> {
-    let baseline = std::fs::read_to_string(baseline_path)
-        .map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let want = parse_matrix_rows(&baseline);
-    if want.is_empty() {
-        return Err(format!("{baseline_path} contains no matrix rows"));
-    }
-    let fresh_text = sweep("block", None, None)?;
-    let fresh = parse_matrix_rows(&fresh_text);
-    let mut failures = Vec::new();
-    for (mech, workload, floor) in &want {
-        match fresh
-            .iter()
-            .find(|(m, w, _)| m == mech && w == workload)
-            .map(|(_, _, p)| *p)
-        {
-            None => failures.push(format!("{mech}/{workload}: cell missing from fresh sweep")),
-            Some(p) if p < *floor => failures.push(format!(
-                "{mech}/{workload}: coverage {}.{}% fell below committed {}.{}%",
-                p / 10,
-                p % 10,
-                floor / 10,
-                floor % 10
-            )),
-            Some(_) => {}
-        }
-    }
-    if failures.is_empty() {
-        println!(
-            "simaudit gate: {} cells at or above the committed coverage floor",
-            want.len()
-        );
-        Ok(())
-    } else {
-        Err(failures.join("\n"))
-    }
 }
 
 fn usage() -> ! {
@@ -156,16 +107,11 @@ fn main() -> ExitCode {
                 },
                 _ => usage(),
             },
-            "--gate" => match args.get(i + 1) {
-                Some(path) => match gate(path) {
-                    Ok(()) => return ExitCode::SUCCESS,
-                    Err(e) => {
-                        eprintln!("simaudit gate FAILED:\n{e}");
-                        return ExitCode::FAILURE;
-                    }
-                },
-                None => usage(),
-            },
+            "--gate" => {
+                let Some(path) = args.get(i + 1) else { usage() };
+                let fresh = sweep("block", None, None).expect("block is a known engine");
+                return report::gate_file("simaudit", path, &fresh, report::simaudit_rows);
+            }
             _ => usage(),
         }
         i += 1;

@@ -16,13 +16,16 @@
 //! and counters are never skewed by ring overflow. Timed runs keep
 //! tracing and obs disabled.
 //!
-//! `--gate FILE` re-measures and compares against a committed baseline:
-//! determinism must hold, the snapshot ring must not drop events, and
-//! block/trace inst/s must not fall below baseline × (1 − tol)
-//! (`--tol` / `SIMPERF_TOL`, default 0.5 — generous because wall-clock
-//! throughput on shared CI is noisy; only slowdowns fail, speedups pass).
+//! `--gate FILE` re-measures, renders the run as the baseline JSON and
+//! gates it with [`bench::report::simperf_rows`]: the iteration and
+//! instruction counts must match (so a run under another
+//! `K23_BENCH_SCALE` is rejected), determinism must hold, the snapshot
+//! ring must not drop events, and block/trace inst/s must not fall below
+//! half the baseline (wall-clock throughput on a shared host is noisy;
+//! only slowdowns fail, speedups pass).
 
 use bench::micro::{build_micro_app, MICRO_APP, MICRO_CFG};
+use bench::report;
 use interpose::{Interposer, Native};
 use sim_kernel::{EngineConfig, Kernel, MemMode, Pid, RunExit, TraceEntry, Vfs};
 use sim_loader::{boot_kernel, boot_kernel_from};
@@ -124,26 +127,10 @@ fn best_of(runs: u32, n: u64, mode: Mode) -> f64 {
     best
 }
 
-/// One engine's measured throughput row.
-struct Row {
-    mode: Mode,
-    seconds: f64,
-    inst_per_sec: f64,
-}
-
-/// Everything one full measurement pass produces.
-struct Measured {
-    n: u64,
-    instructions: u64,
-    diff_len: usize,
-    rows: Vec<Row>,
-    obs_iterations: u64,
-    dropped_events: u64,
-    obs: sjson::Value,
-}
-
-fn measure() -> Measured {
-    let scale = bench::scale().max(1);
+/// Measures determinism, throughput and the counter snapshot, rendered in
+/// the `BENCH_simperf.json` format.
+fn measure() -> String {
+    let scale = bench::scale();
 
     // 1. Determinism proof: full three-way trace diff at a modest count.
     // The stepwise run is the oracle; block and trace must match it
@@ -173,21 +160,38 @@ fn measure() -> Measured {
     let (_, _, count_tr) = run(n, Mode::Trace, true, None);
     let instructions = count_tr.unwrap().len() as u64;
     println!("guest: {MICRO_APP} (syscall-500 stress), {n} iterations, {instructions} instructions");
-    let rows: Vec<Row> = Mode::ALL
-        .iter()
-        .map(|&mode| {
-            let seconds = best_of(3, n, mode);
-            let inst_per_sec = instructions as f64 / seconds;
-            println!("{:<38} {seconds:.3}s  {inst_per_sec:>12.0} inst/s", mode.label());
-            Row { mode, seconds, inst_per_sec }
-        })
-        .collect();
-    let ips = |m: Mode| rows.iter().find(|r| r.mode == m).unwrap().inst_per_sec;
-    println!(
-        "speedup over stepwise baseline: block {:.2}x, trace {:.2}x",
-        ips(Mode::Block) / ips(Mode::Legacy),
-        ips(Mode::Trace) / ips(Mode::Legacy)
-    );
+    let mut fields = vec![
+        ("guest", sjson::Value::Str(MICRO_APP.into())),
+        ("iterations", sjson::Value::UInt(n)),
+        ("instructions", sjson::Value::UInt(instructions)),
+        (
+            "determinism",
+            sjson::Value::object(vec![
+                ("trace_len", sjson::Value::UInt(ref_tr.len() as u64)),
+                ("identical", sjson::Value::Bool(true)),
+            ]),
+        ),
+    ];
+    // inst/s in `Mode::ALL` order: stepwise, block, trace.
+    let mut ips = Vec::new();
+    for mode in Mode::ALL {
+        let seconds = best_of(3, n, mode);
+        let inst_per_sec = instructions as f64 / seconds;
+        println!("{:<38} {seconds:.3}s  {inst_per_sec:>12.0} inst/s", mode.label());
+        ips.push(inst_per_sec);
+        fields.push((
+            mode.json_key(),
+            sjson::Value::object(vec![
+                ("engine", sjson::Value::Str(mode.label().into())),
+                ("seconds", sjson::Value::Float(seconds)),
+                ("inst_per_sec", sjson::Value::Float(inst_per_sec)),
+            ]),
+        ));
+    }
+    let (block, trace) = (ips[1] / ips[0], ips[2] / ips[0]);
+    println!("speedup over stepwise baseline: block {block:.2}x, trace {trace:.2}x");
+    fields.push(("speedup", sjson::Value::Float(trace)));
+    fields.push(("speedup_block", sjson::Value::Float(block)));
 
     // 3. Counter snapshot from one extra trace-engine run with sim-obs on
     // (tracing and obs stay off during every timed run above). The ring
@@ -199,127 +203,23 @@ fn measure() -> Measured {
     sim_obs::enable(sim_obs::ObsConfig::default());
     let _ = run(obs_n, Mode::Trace, false, Some(ring_cap));
     let rec = sim_obs::disable().expect("recorder");
-    let dropped_events = rec.total_dropped();
     println!(
         "obs: tlb hit rate {:.2}%, icache reuse {:.2}%, {} traces formed, {} trace entries, {} dropped events (ring {ring_cap})",
         100.0 * rec.counters.tlb_hit_rate(),
         100.0 * rec.counters.icache_reuse_rate(),
         rec.counters.trace_forms,
         rec.counters.trace_entries,
-        dropped_events
+        rec.total_dropped()
     );
 
-    Measured {
-        n,
-        instructions,
-        diff_len: ref_tr.len(),
-        rows,
-        obs_iterations: obs_n,
-        dropped_events,
-        obs: rec.counters_json(),
-    }
-}
-
-fn write_json(path: &str, m: &Measured) {
-    let ips = |mode: Mode| m.rows.iter().find(|r| r.mode == mode).unwrap().inst_per_sec;
-    let mut fields = vec![
-        ("guest", sjson::Value::Str(MICRO_APP.into())),
-        ("iterations", sjson::Value::UInt(m.n)),
-        ("instructions", sjson::Value::UInt(m.instructions)),
-        (
-            "determinism",
-            sjson::Value::object(vec![
-                ("trace_len", sjson::Value::UInt(m.diff_len as u64)),
-                ("identical", sjson::Value::Bool(true)),
-            ]),
-        ),
-    ];
-    for row in &m.rows {
-        fields.push((
-            row.mode.json_key(),
-            sjson::Value::object(vec![
-                ("engine", sjson::Value::Str(row.mode.label().into())),
-                ("seconds", sjson::Value::Float(row.seconds)),
-                ("inst_per_sec", sjson::Value::Float(row.inst_per_sec)),
-            ]),
-        ));
-    }
-    fields.push(("speedup", sjson::Value::Float(ips(Mode::Trace) / ips(Mode::Legacy))));
-    fields.push((
-        "speedup_block",
-        sjson::Value::Float(ips(Mode::Block) / ips(Mode::Legacy)),
-    ));
-    fields.push(("obs_iterations", sjson::Value::UInt(m.obs_iterations)));
-    fields.push(("obs", m.obs.clone()));
-    let json = sjson::Value::object(fields);
-    std::fs::write(path, json.to_string_pretty()).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("wrote {path}");
-}
-
-/// Compares a fresh measurement against the committed baseline; returns
-/// the list of violations (empty = gate passes). Only slowdowns beyond
-/// the tolerance fail — speedups always pass.
-fn gate(baseline_path: &str, m: &Measured, tol: f64) -> Result<Vec<String>, String> {
-    let data = std::fs::read(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let v = sjson::parse(&data).map_err(|e| format!("{baseline_path}: bad JSON: {e:?}"))?;
-    let mut violations = Vec::new();
-    // The committed baseline must itself claim determinism; the fresh
-    // run already proved it (measure() asserts the three-way diff).
-    let base_identical = v
-        .get("determinism")
-        .and_then(|d| d.get("identical"))
-        .and_then(|b| b.as_bool());
-    if base_identical != Some(true) {
-        violations.push(format!(
-            "{baseline_path}: determinism.identical is not true in the committed baseline"
-        ));
-    }
-    if m.dropped_events > 0 {
-        violations.push(format!(
-            "obs snapshot dropped {} events — counters are skewed; grow the ring",
-            m.dropped_events
-        ));
-    }
-    for row in &m.rows {
-        // The stepwise baseline row is informational, not gated: it
-        // moves with host load, and regressions there don't indicate an
-        // engine problem.
-        if row.mode == Mode::Legacy {
-            continue;
-        }
-        let Some(base_ips) = v
-            .get(row.mode.json_key())
-            .and_then(|r| r.get("inst_per_sec"))
-            .and_then(|x| x.as_f64())
-        else {
-            violations.push(format!(
-                "{baseline_path}: no {}.inst_per_sec in baseline",
-                row.mode.json_key()
-            ));
-            continue;
-        };
-        let floor = base_ips * (1.0 - tol);
-        if row.inst_per_sec < floor {
-            violations.push(format!(
-                "{}: inst/s fell to {:.0} (baseline {:.0}, floor {:.0} at tol {:.0}%)",
-                row.mode.label(),
-                row.inst_per_sec,
-                base_ips,
-                floor,
-                tol * 100.0
-            ));
-        }
-    }
-    Ok(violations)
+    fields.push(("obs_iterations", sjson::Value::UInt(obs_n)));
+    fields.push(("obs", rec.counters_json()));
+    sjson::Value::object(fields).to_string_pretty()
 }
 
 fn main() -> ExitCode {
     let mut json_path = "BENCH_simperf.json".to_string();
     let mut gate_path: Option<String> = None;
-    let mut tol = std::env::var("SIMPERF_TOL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.5);
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < argv.len() {
@@ -339,39 +239,16 @@ fn main() -> ExitCode {
                 );
                 i += 1;
             }
-            "--tol" => {
-                tol = argv
-                    .get(i + 1)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| panic!("--tol needs a number"));
-                i += 1;
-            }
             other => panic!("unknown flag {other}"),
         }
         i += 1;
     }
 
-    let m = measure();
+    let json = measure();
     if let Some(baseline) = &gate_path {
-        let violations = match gate(baseline, &m, tol) {
-            Ok(v) => v,
-            Err(e) => {
-                eprintln!("simperf: gate error: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("simperf: REGRESSION {v}");
-            }
-            return ExitCode::FAILURE;
-        }
-        println!(
-            "gate: ok (block+trace inst/s within {:.0}% of {baseline}, determinism held, 0 dropped events)",
-            tol * 100.0
-        );
-        return ExitCode::SUCCESS;
+        return report::gate_file("simperf", baseline, &json, report::simperf_rows);
     }
-    write_json(&json_path, &m);
+    std::fs::write(&json_path, json).unwrap_or_else(|e| panic!("write {json_path}: {e}"));
+    println!("wrote {json_path}");
     ExitCode::SUCCESS
 }

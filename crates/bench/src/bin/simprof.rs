@@ -16,18 +16,19 @@
 //! ```text
 //! simprof [--engine block|stepwise|trace] [--period N (default 64)]
 //!         [--scale N] [--interposer NAME]... [--json PATH] [--out-prefix P]
-//!         [--gate BASELINE [--tol F]] [--smoke]
+//!         [--gate BASELINE] [--smoke]
 //! ```
 //!
 //! Under `--engine trace` the stage table is followed by a per-trace
 //! occupancy table (replayed steps per trace and side-exit rate, hottest
 //! trace first) drawn from the trace cache's per-entry counters.
 //!
-//! * `--gate BASELINE` — re-measure and compare against a committed
-//!   baseline JSON; any row whose instruction or sample count drifts
-//!   beyond the tolerance band (default 10%, `--tol` / `SIMPROF_TOL`)
-//!   fails with a non-zero exit, as does any row whose obs ring dropped
-//!   events (`dropped_events > 0` — lossy counters can't gate anything).
+//! * `--gate BASELINE` — re-measure, render the rows as the baseline JSON
+//!   and gate them with [`bench::report::simprof_rows`]: a run under
+//!   another `--period`, `--scale` or `--engine` than the baseline's, a
+//!   row whose instruction or sample count drifts beyond ±10%, and a row
+//!   whose obs ring dropped events (lossy counters can't gate anything)
+//!   each fail with a non-zero exit.
 //! * `--smoke` — CI determinism gate: profiles the coreutil under `k23`
 //!   and `ptrace` twice per engine and requires the folded stacks and
 //!   stage table to be byte-identical across runs *and* across the
@@ -38,47 +39,18 @@
 //! both engines (DESIGN.md §9).
 
 use apps::MacroSpec;
-use bench::scale::{collect_offline_log_scale, ScaleParams, Variant};
-use interpose::Interposer;
+use bench::report;
+use bench::scale::{collect_offline_log_scale, world, ScaleParams, Variant};
 use k23::OfflineSession;
-use sim_kernel::{EngineConfig, RunExit, Vfs};
-use sim_loader::{boot_kernel, boot_kernel_from};
+use sim_kernel::RunExit;
+use sim_loader::boot_kernel_from;
 use std::fmt::Write as _;
 use std::process::ExitCode;
-use std::sync::OnceLock;
 
 /// Coreutil workload (installed by `apps::install_world`).
 const COREUTIL: &str = "/usr/bin/ls-sim";
 /// Cycle budget per profiled run.
 const BUDGET: u64 = u64::MAX / 4;
-
-/// The world VFS (libc + every app image), assembled exactly once per
-/// process: the serial mechanism sweep boots one kernel per
-/// (workload, interposer) row and re-assembling every guest image per
-/// row is pure startup waste.
-fn world() -> &'static Vfs {
-    static WORLD: OnceLock<Vfs> = OnceLock::new();
-    WORLD.get_or_init(|| {
-        let mut k = boot_kernel();
-        apps::install_world(&mut k.vfs);
-        k.vfs
-    })
-}
-
-fn make_interposer(name: &str) -> Result<(Box<dyn Interposer>, bool), String> {
-    pitfalls::register_all();
-    let ip = interpose::by_name_spec(name).map_err(|e| e.to_string())?;
-    Ok((ip, name.starts_with("k23")))
-}
-
-fn engine_cfg(engine: &str) -> Result<EngineConfig, String> {
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
 
 struct Args {
     engine: String,
@@ -88,7 +60,6 @@ struct Args {
     json_out: String,
     out_prefix: String,
     gate: Option<String>,
-    tol: f64,
     smoke: bool,
 }
 
@@ -101,10 +72,6 @@ fn parse_args() -> Result<Args, String> {
         json_out: "BENCH_simprof.json".to_string(),
         out_prefix: "SIMPROF".to_string(),
         gate: None,
-        tol: std::env::var("SIMPROF_TOL")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0.10),
         smoke: false,
     };
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -144,11 +111,6 @@ fn parse_args() -> Result<Args, String> {
             }
             "--gate" => {
                 a.gate = Some(value(&argv, i, "--gate")?);
-                i += 1;
-            }
-            "--tol" => {
-                let v = value(&argv, i, "--tol")?;
-                a.tol = v.parse().map_err(|_| format!("bad --tol {v}"))?;
                 i += 1;
             }
             "--smoke" => a.smoke = true,
@@ -251,8 +213,7 @@ fn finish_run(k: &mut sim_kernel::Kernel, rec: Box<sim_obs::Recorder>) -> RunOut
 
 /// Profiles `COREUTIL` under one interposer.
 fn profile_coreutil(name: &str, engine: &str, period: u64) -> Result<RunOutput, String> {
-    let (ip, needs_offline) =
-        make_interposer(name)?;
+    let (ip, needs_offline) = bench::make_interposer(name)?;
     let mut k = boot_kernel_from(world());
     let argv = vec![COREUTIL.to_string()];
 
@@ -271,7 +232,7 @@ fn profile_coreutil(name: &str, engine: &str, period: u64) -> Result<RunOutput, 
 
     sim_obs::clear_region_paths();
     sim_obs::clear_span_ranges();
-    k.configure(engine_cfg(engine)?.profile(period));
+    k.configure(bench::engine_cfg(engine)?.profile(period));
     sim_obs::enable(sim_obs::ObsConfig {
         micro_events: false,
         ..sim_obs::ObsConfig::default()
@@ -296,6 +257,23 @@ fn profile_coreutil(name: &str, engine: &str, period: u64) -> Result<RunOutput, 
     Ok(finish_run(&mut k, rec))
 }
 
+/// Transplants a collected offline log into `k`'s sealed log directory.
+fn install_offline_log(
+    k: &mut sim_kernel::Kernel,
+    offline_log: &Option<(String, Vec<u8>)>,
+) -> Result<(), String> {
+    let (path, bytes) = offline_log.as_ref().ok_or("offline log not collected")?;
+    k.vfs
+        .mkdir_p(k23::LOG_DIR)
+        .map_err(|e| format!("log dir: {e}"))?;
+    k.vfs
+        .write_file(path, bytes)
+        .map_err(|e| format!("log install: {e}"))?;
+    k.vfs
+        .set_immutable(k23::LOG_DIR, true)
+        .map_err(|e| format!("log seal: {e}"))
+}
+
 /// Profiles one Table 6 server spec under one interposer. K23 variants
 /// reuse `offline_log`, collected once on a scratch kernel and
 /// transplanted into the measurement kernel's sealed log directory —
@@ -307,23 +285,15 @@ fn profile_server(
     spec: &MacroSpec,
     offline_log: &Option<(String, Vec<u8>)>,
 ) -> Result<RunOutput, String> {
-    let (ip, needs_offline) =
-        make_interposer(name)?;
+    let (ip, needs_offline) = bench::make_interposer(name)?;
     let mut k = boot_kernel_from(world());
     if needs_offline {
-        let (path, bytes) = offline_log
-            .as_ref()
-            .ok_or_else(|| "offline log not collected".to_string())?;
-        k.vfs.mkdir_p(k23::LOG_DIR).map_err(|e| format!("log dir: {e}"))?;
-        k.vfs.write_file(path, bytes).map_err(|e| format!("log install: {e}"))?;
-        k.vfs
-            .set_immutable(k23::LOG_DIR, true)
-            .map_err(|e| format!("log seal: {e}"))?;
+        install_offline_log(&mut k, offline_log)?;
     }
 
     sim_obs::clear_region_paths();
     sim_obs::clear_span_ranges();
-    k.configure(engine_cfg(engine)?.profile(period));
+    k.configure(bench::engine_cfg(engine)?.profile(period));
     sim_obs::enable(sim_obs::ObsConfig {
         micro_events: false,
         ..sim_obs::ObsConfig::default()
@@ -360,22 +330,15 @@ fn profile_epoll_server(
     params: &ScaleParams,
     offline_log: &Option<(String, Vec<u8>)>,
 ) -> Result<RunOutput, String> {
-    let (ip, needs_offline) = make_interposer(name)?;
+    let (ip, needs_offline) = bench::make_interposer(name)?;
     let mut k = boot_kernel_from(world());
     if needs_offline {
-        let (path, bytes) = offline_log
-            .as_ref()
-            .ok_or_else(|| "offline log not collected".to_string())?;
-        k.vfs.mkdir_p(k23::LOG_DIR).map_err(|e| format!("log dir: {e}"))?;
-        k.vfs.write_file(path, bytes).map_err(|e| format!("log install: {e}"))?;
-        k.vfs
-            .set_immutable(k23::LOG_DIR, true)
-            .map_err(|e| format!("log seal: {e}"))?;
+        install_offline_log(&mut k, offline_log)?;
     }
 
     sim_obs::clear_region_paths();
     sim_obs::clear_span_ranges();
-    k.configure(engine_cfg(engine)?.profile(period));
+    k.configure(bench::engine_cfg(engine)?.profile(period));
     sim_obs::enable(sim_obs::ObsConfig {
         micro_events: false,
         ..sim_obs::ObsConfig::default()
@@ -394,82 +357,6 @@ fn profile_epoll_server(
     let rec = sim_obs::disable().expect("recorder was enabled");
     res.map_err(|e| format!("epollsrv under {name}: {e:?}"))?;
     Ok(finish_run(&mut k, rec))
-}
-
-/// A (workload, interposer) gate row.
-struct Row {
-    workload: String,
-    interposer: String,
-    out: RunOutput,
-}
-
-fn rows_json(args: &Args, rows: &[Row]) -> String {
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"period\": {},", args.period);
-    let _ = writeln!(s, "  \"scale\": {},", args.scale);
-    let _ = writeln!(s, "  \"engine\": \"{}\",", args.engine);
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"workload\": \"{}\", \"interposer\": \"{}\", \"samples\": {}, \"instructions\": {}, \"syscalls\": {}, \"dropped_events\": {}}}",
-            r.workload, r.interposer, r.out.samples, r.out.instructions, r.out.syscalls, r.out.dropped
-        );
-        s.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-/// Compares measured rows against a committed baseline; returns the list
-/// of violations (empty = gate passes).
-fn gate(baseline_path: &str, rows: &[Row], tol: f64) -> Result<Vec<String>, String> {
-    let data = std::fs::read(baseline_path).map_err(|e| format!("read {baseline_path}: {e}"))?;
-    let v = sjson::parse(&data).map_err(|e| format!("{baseline_path}: bad JSON: {e:?}"))?;
-    let base_rows = v
-        .get("rows")
-        .and_then(|r| r.as_array())
-        .ok_or_else(|| format!("{baseline_path} has no rows array"))?;
-    let mut violations = Vec::new();
-    // A lossy obs ring skews every counter the gate compares: any dropped
-    // event in the current run fails outright.
-    for r in rows {
-        if r.out.dropped > 0 {
-            violations.push(format!(
-                "{}/{}: obs ring dropped {} events — counters are untrustworthy; grow the ring",
-                r.workload, r.interposer, r.out.dropped
-            ));
-        }
-    }
-    let field = |r: &sjson::Value, k: &str| r.get(k).and_then(|x| x.as_u64());
-    let sfield = |r: &sjson::Value, k: &str| r.get(k).and_then(|x| x.as_str().map(String::from));
-    for b in base_rows {
-        let (Some(w), Some(ip)) = (sfield(b, "workload"), sfield(b, "interposer")) else {
-            continue;
-        };
-        let Some(cur) = rows.iter().find(|r| r.workload == w && r.interposer == ip) else {
-            violations.push(format!("{w}/{ip}: row missing from current run"));
-            continue;
-        };
-        for (metric, base_val, cur_val) in [
-            ("instructions", field(b, "instructions"), Some(cur.out.instructions)),
-            ("samples", field(b, "samples"), Some(cur.out.samples)),
-        ] {
-            let (Some(base_val), Some(cur_val)) = (base_val, cur_val) else {
-                continue;
-            };
-            let drift = (cur_val as f64 - base_val as f64) / (base_val as f64).max(1.0);
-            if drift.abs() > tol {
-                violations.push(format!(
-                    "{w}/{ip}: {metric} drifted {:+.1}% (baseline {base_val}, now {cur_val}, tol {:.0}%)",
-                    drift * 100.0,
-                    tol * 100.0
-                ));
-            }
-        }
-    }
-    Ok(violations)
 }
 
 /// CI determinism gate: byte-identical profiles across consecutive runs
@@ -553,31 +440,24 @@ fn run(args: &Args) -> Result<ExitCode, String> {
                 "{workload:<10} {name:<14} samples {:>7}  instructions {:>12}  syscalls {:>7}",
                 out.samples, out.instructions, out.syscalls
             );
-            rows.push(Row {
-                workload: workload.to_string(),
-                interposer: name.clone(),
-                out,
-            });
+            rows.push(format!(
+                "    {{\"workload\": \"{workload}\", \"interposer\": \"{name}\", \"samples\": {}, \"instructions\": {}, \"syscalls\": {}, \"dropped_events\": {}}}",
+                out.samples, out.instructions, out.syscalls, out.dropped
+            ));
         }
     }
 
+    let json = format!(
+        "{{\n  \"period\": {},\n  \"scale\": {},\n  \"engine\": \"{}\",\n  \"rows\": [\n{}\n  ]\n}}\n",
+        args.period,
+        args.scale,
+        args.engine,
+        rows.join(",\n")
+    );
     if let Some(baseline) = &args.gate {
-        let violations = gate(baseline, &rows, args.tol)?;
-        if !violations.is_empty() {
-            for v in &violations {
-                eprintln!("simprof: REGRESSION {v}");
-            }
-            return Ok(ExitCode::FAILURE);
-        }
-        println!(
-            "gate: ok ({} rows within {:.0}% of {baseline})",
-            rows.len(),
-            args.tol * 100.0
-        );
-        return Ok(ExitCode::SUCCESS);
+        let extract = report::simprof_rows;
+        return Ok(report::gate_file("simprof", baseline, &json, extract));
     }
-
-    let json = rows_json(args, &rows);
     std::fs::write(&args.json_out, &json).map_err(|e| format!("write {}: {e}", args.json_out))?;
     let folded_path = format!("{}_folded.txt", args.out_prefix);
     let stages_path = format!("{}_stages.txt", args.out_prefix);

@@ -47,15 +47,6 @@ const COREUTIL: &str = "/usr/bin/ls-sim";
 const BUDGET: u64 = u64::MAX / 4;
 const DEFAULT_CKPT_PERIOD: u64 = 4096;
 
-fn engine_cfg(engine: &str) -> Result<EngineConfig, String> {
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
-
 /// The canned `--fault` plan per workload: errnos only syscalls whose
 /// callers must tolerate them, plus an adversarial scheduler rotation for
 /// the multi-process server row (generating `Sched` records).
@@ -213,7 +204,7 @@ fn post_mortem(k: &mut Kernel, obs: &[String]) {
 
 fn do_record(args: &Args) -> Result<ExitCode, String> {
     let plan = args.fault.then(|| canned_plan(&args.workload));
-    let mut cfg = engine_cfg(&args.engine)?;
+    let mut cfg = bench::engine_cfg(&args.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -270,7 +261,7 @@ fn load_recording(path: &str) -> Result<(Recording, Option<FaultPlan>), String> 
 fn do_replay(args: &Args) -> Result<ExitCode, String> {
     let (recording, plan) = load_recording(&args.file)?;
     let h = &recording.header;
-    let mut cfg = engine_cfg(&args.engine)?;
+    let mut cfg = bench::engine_cfg(&args.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -355,7 +346,7 @@ fn do_navigate(args: &Args) -> Result<ExitCode, String> {
     } else {
         DEFAULT_CKPT_PERIOD
     };
-    let mut cfg = engine_cfg(&h.engine)?;
+    let mut cfg = bench::engine_cfg(&h.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }
@@ -372,7 +363,7 @@ fn do_navigate(args: &Args) -> Result<ExitCode, String> {
     let log = Rc::new(recording.recs);
     let mut k = boot_kernel();
     setup_single(&h.workload, h.seed, &mut k)?;
-    let mut cfg = engine_cfg(&args.engine)?;
+    let mut cfg = bench::engine_cfg(&args.engine)?;
     if let Some(p) = &plan {
         cfg = cfg.fault(p.clone());
     }

@@ -13,14 +13,15 @@
 //! simscale --threads N           # host worker threads (default 4)
 //! simscale --json PATH           # also write the matrix as JSON
 //! simscale --out PATH            # also write the text table
-//! simscale --gate BENCH_scale.json   # throughput floor + criterion check
+//! simscale --gate BENCH_scale.json   # criterion + re-measured floor cell
 //! ```
 //!
 //! Refresh the committed baseline with:
 //! `cargo run --release -p bench --bin simscale -- --json BENCH_scale.json`
 
+use bench::report;
+use bench::scale::{full_matrix_cells, remeasure_floor_cell};
 use bench::scale::{full_params, matrix_json, render_matrix, run_matrix, run_matrix_cells};
-use bench::scale::{full_matrix_cells, gate};
 use std::process::ExitCode;
 
 fn run(
@@ -58,16 +59,6 @@ fn run(
     Ok(text)
 }
 
-fn run_gate(path: &str) -> Result<String, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("read {path}: {e}"))?;
-    let baseline = sjson::parse(&bytes).map_err(|e| format!("parse {path}: {e:?}"))?;
-    let tol = std::env::var("SIMSCALE_TOL")
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0.2);
-    gate(&baseline, tol)
-}
-
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -99,19 +90,19 @@ fn main() -> ExitCode {
         }
     }
     let res = match gate_path {
-        Some(p) => run_gate(&p),
-        None => run(smoke, threads, json_out.as_deref(), text_out.as_deref()),
-    };
-    match res {
-        Ok(text) => {
+        Some(p) => std::fs::read_to_string(&p)
+            .map_err(|e| format!("read {p}: {e}"))
+            .and_then(|committed| remeasure_floor_cell(&committed))
+            .map(|fresh| report::gate_file("simscale", &p, &fresh, report::scale_rows)),
+        None => run(smoke, threads, json_out.as_deref(), text_out.as_deref()).map(|text| {
             print!("{text}");
             ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("simscale: {e}");
-            ExitCode::FAILURE
-        }
-    }
+        }),
+    };
+    res.unwrap_or_else(|e| {
+        eprintln!("simscale: {e}");
+        ExitCode::FAILURE
+    })
 }
 
 fn usage(err: &str) -> ExitCode {

@@ -26,7 +26,6 @@
 //!   cycles under the main mechanisms and print the overhead ordering.
 
 use bench::micro::{build_micro_app, per_iteration_cycles_with, MICRO_APP, MICRO_CFG};
-use interpose::Interposer;
 use k23::OfflineSession;
 use sim_kernel::RunExit;
 use sim_loader::boot_kernel;
@@ -34,22 +33,6 @@ use std::process::ExitCode;
 
 /// `(interposer, needs_offline_phase)` for a mechanism spec, resolved
 /// through the unified [`interpose`] registry.
-fn make_interposer(name: &str) -> Result<(Box<dyn Interposer>, bool), String> {
-    pitfalls::register_all();
-    let ip = interpose::by_name_spec(name).map_err(|e| e.to_string())?;
-    Ok((ip, name.starts_with("k23")))
-}
-
-fn engine_cfg(engine: &str) -> Result<sim_kernel::EngineConfig, String> {
-    use sim_kernel::EngineConfig;
-    match engine {
-        "block" => Ok(EngineConfig::new()),
-        "stepwise" => Ok(EngineConfig::stepwise()),
-        "trace" => Ok(EngineConfig::traced()),
-        other => Err(format!("unknown engine {other:?} (block|stepwise|trace)")),
-    }
-}
-
 struct Args {
     interposer: String,
     engine: String,
@@ -120,7 +103,7 @@ fn parse_args() -> Result<Args, String> {
 
 /// Runs the chosen workload traced; returns the recorder.
 fn traced_run(args: &Args) -> Result<Box<sim_obs::Recorder>, String> {
-    let (ip, needs_offline) = make_interposer(&args.interposer).map_err(|e| {
+    let (ip, needs_offline) = bench::make_interposer(&args.interposer).map_err(|e| {
         format!(
             "{e} (try native, ptrace, sud, sud-armed, zpoline, zpoline-ultra, lazypoline, k23, k23-ultra, k23-ultra+, or a composed spec like k23+tracer+recorder)"
         )
@@ -157,7 +140,7 @@ fn traced_run(args: &Args) -> Result<Box<sim_obs::Recorder>, String> {
     // Audit the traced run against the mechanism's declared coverage so
     // the summary's counter block reports interposed/bypassed/double
     // counts per attribution path alongside the latency table.
-    k.configure(engine_cfg(&args.engine)?.audit(ip.coverage()));
+    k.configure(bench::engine_cfg(&args.engine)?.audit(ip.coverage()));
     sim_obs::enable(sim_obs::ObsConfig {
         micro_events: args.micro_events,
         ..sim_obs::ObsConfig::default()
@@ -195,7 +178,7 @@ fn compare_table(n: u64) -> String {
     ];
     let mut rows: Vec<(String, f64)> = Vec::new();
     for name in mechanisms {
-        let (ip, needs_offline) = make_interposer(name).expect("known mechanism");
+        let (ip, needs_offline) = bench::make_interposer(name).expect("known mechanism");
         let cycles = if needs_offline {
             // The only offline-phase mechanism in the list is k23-default;
             // the bench harness collects and seals its log before timing.
@@ -277,7 +260,7 @@ fn main() -> ExitCode {
         rec.summary()
     );
     if args.compare {
-        let n = (2_000 / bench::scale().max(1)).max(200);
+        let n = (2_000 / bench::scale()).max(200);
         summary.push_str(&compare_table(n));
     }
     if let Err(e) = std::fs::write(&args.summary_out, &summary) {

@@ -24,7 +24,7 @@ use std::sync::{Mutex, OnceLock};
 /// process and cloned into each cell's kernel. A 48-cell matrix would
 /// otherwise re-assemble every image 48 times; `Vfs` is plain data, so
 /// the template is shared across the worker threads by reference.
-fn world() -> &'static Vfs {
+pub fn world() -> &'static Vfs {
     static WORLD: OnceLock<Vfs> = OnceLock::new();
     WORLD.get_or_init(|| {
         let mut k = boot_kernel();
@@ -546,78 +546,36 @@ pub fn render_matrix(m: &ScaleMatrix) -> String {
     out
 }
 
-/// Gate checks against a committed `BENCH_scale.json`:
-///
-/// 1. the committed matrix itself must satisfy the scaling criterion
-///    (epoll >= 5x poll at the top connection count under K23), and
-/// 2. a fresh epoll-under-K23 run at the smallest committed connection
-///    count must stay within `tol` of the committed throughput floor.
-///
-/// # Errors
-///
-/// A human-readable description of the first failed check.
-pub fn gate(baseline: &sjson::Value, tol: f64) -> Result<String, String> {
-    let cells = baseline
-        .get("cells")
-        .and_then(|c| c.as_array())
-        .ok_or("baseline has no cells")?;
-    let max_conns = baseline
-        .get("max_conns")
-        .and_then(|v| v.as_u64())
-        .ok_or("baseline has no max_conns")?;
-    let lookup = |variant: &str, config: &str, conns: u64| -> Option<f64> {
-        cells.iter().find_map(|c| {
-            (c.get("variant")?.as_str()? == variant
-                && c.get("config")?.as_str()? == config
-                && c.get("conns")?.as_u64()? == conns)
-                .then(|| c.get("throughput_per_gcycle")?.as_f64())?
-        })
-    };
-    let e = lookup("epoll", Config::K23Default.label(), max_conns)
-        .ok_or("baseline missing epoll K23 cell at max conns")?;
-    let p = lookup("poll", Config::K23Default.label(), max_conns)
-        .ok_or("baseline missing poll K23 cell at max conns")?;
-    if e < 5.0 * p {
-        return Err(format!(
-            "committed criterion violated: epoll {e:.1} < 5x poll {p:.1} at c={max_conns}"
-        ));
-    }
-    // Re-measure the epoll K23 floor cell at the committed parameters.
+/// Re-measures the gate's floor cell — epoll under K23-default at the
+/// smallest connection count — at the parameters of a committed
+/// `BENCH_scale.json`, rendered as a one-cell `BENCH_scale.json` for
+/// [`crate::report::scale_rows`].
+pub fn remeasure_floor_cell(text: &str) -> Result<String, String> {
+    let baseline = sjson::parse_str(text).map_err(|e| format!("bad JSON: {e:?}"))?;
     let params = baseline.get("params").ok_or("baseline has no params")?;
-    let get = |k: &str| params.get(k).and_then(|v| v.as_u64());
+    let get = |k: &str| {
+        params
+            .get(k)
+            .and_then(|v| v.as_u64())
+            .ok_or(format!("params.{k}"))
+    };
     let committed = ScaleParams {
-        requests: get("requests").ok_or("params.requests")? as u32,
-        active: get("active").ok_or("params.active")? as u32,
-        resp64: get("resp64").ok_or("params.resp64")? as u8,
-        server_work: get("server_work").ok_or("params.server_work")? as u8,
-        workers: get("workers").ok_or("params.workers")? as u8,
+        requests: get("requests")? as u32,
+        active: get("active")? as u32,
+        resp64: get("resp64")? as u8,
+        server_work: get("server_work")? as u8,
+        workers: get("workers")? as u8,
     };
     let min_conns = baseline
         .get("conn_counts")
         .and_then(|v| v.as_array())
         .and_then(|a| a.iter().filter_map(|v| v.as_u64()).min())
-        .ok_or("baseline has no conn_counts")?;
-    let floor = lookup("epoll", Config::K23Default.label(), min_conns)
-        .ok_or("baseline missing epoll K23 floor cell")?;
+        .ok_or("baseline has no conn_counts")? as u32;
     let cell = ScaleCell {
         variant: Variant::Epoll,
-        conns: min_conns as u32,
+        conns: min_conns,
         config: Config::K23Default,
     };
-    let mut logs = BTreeMap::new();
-    logs.insert(
-        Variant::Epoll.label(),
-        collect_offline_log_scale(Variant::Epoll, &committed),
-    );
-    let fresh = run_cell(&cell, &committed, &logs);
-    if fresh.throughput < floor * (1.0 - tol) {
-        return Err(format!(
-            "epoll K23 throughput fell below floor: {:.1} < {floor:.1} * (1 - {tol})",
-            fresh.throughput
-        ));
-    }
-    Ok(format!(
-        "scale gate ok: criterion {e:.1} >= 5x {p:.1} at c={max_conns}; floor cell {:.1} vs {floor:.1} (tol {tol})",
-        fresh.throughput
-    ))
+    let fresh = run_matrix_cells(&[min_conns], &[cell], &committed, 1);
+    Ok(matrix_json(&fresh).to_string_pretty())
 }

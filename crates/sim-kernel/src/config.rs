@@ -2,11 +2,12 @@
 //!
 //! [`EngineConfig`] replaced the accreted bool setters of earlier
 //! revisions with one builder applied through
-//! [`crate::Kernel::configure`]; every knob (engine, memory mode, icache
-//! policy, trace parameters, fault plan, profiler period, obs ring size)
-//! lives here. [`FaultSession`] is the kernel's live
-//! state for one [`FaultPlan`]: architectural counters (syscall
-//! occurrences, scheduling rounds) plus pending permission restorations.
+//! [`crate::Kernel::configure`]; every knob (engine, memory mode, trace
+//! parameters, fault plan, profiler period, obs ring size) lives here. The
+//! icache policy follows the engine (see [`EngineConfig::stepwise`]).
+//! [`FaultSession`] is the kernel's live state for one [`FaultPlan`]:
+//! architectural counters (syscall occurrences, scheduling rounds) plus
+//! pending permission restorations.
 //! It and [`ProfSession`] keep only their next-stop cursors; the retired
 //! instructions they are keyed by come from the kernel's one retired
 //! clock ([`crate::Kernel::retired`]), which advances identically under
@@ -14,7 +15,7 @@
 
 use crate::process::Pid;
 use crate::record::RecordSpec;
-use sim_cpu::{IcacheMode, TraceParams};
+use sim_cpu::TraceParams;
 use sim_fault::FaultPlan;
 use sim_mem::{MemMode, Perms};
 use sim_record::Rec;
@@ -39,14 +40,14 @@ pub enum Engine {
 /// One typed configuration for the execution engine.
 ///
 /// ```
-/// use sim_kernel::{Engine, EngineConfig, IcacheMode, MemMode};
+/// use sim_kernel::{Engine, EngineConfig, MemMode};
 ///
 /// let fast = EngineConfig::new();
 /// assert_eq!(fast.engine, Engine::Block);
 /// let traced = EngineConfig::traced();
 /// assert_eq!(traced.engine, Engine::Trace);
 /// let oracle = EngineConfig::stepwise();
-/// assert_eq!(oracle.icache, IcacheMode::SeedFlush);
+/// assert_eq!(oracle.engine, Engine::Stepwise);
 /// let legacy = EngineConfig::new().mem(MemMode::Legacy);
 /// assert_eq!(legacy.mem, MemMode::Legacy);
 /// ```
@@ -56,8 +57,6 @@ pub struct EngineConfig {
     pub engine: Engine,
     /// Guest memory access mode (applied to every address space).
     pub mem: MemMode,
-    /// Decoded-instruction cache policy (applied to every core).
-    pub icache: IcacheMode,
     /// Trace-cache knobs (consulted only under [`Engine::Trace`]).
     pub trace: TraceParams,
     /// Fault-injection plan, if any.
@@ -91,11 +90,13 @@ impl EngineConfig {
     }
 
     /// The oracle configuration the determinism tests compare against:
-    /// the stepwise engine with the original seeded icache flushing.
+    /// the stepwise engine, which [`crate::Kernel::configure`] always runs
+    /// with the original seeded icache flushing
+    /// ([`sim_cpu::IcacheMode::SeedFlush`]); the block and trace engines
+    /// revalidate.
     pub fn stepwise() -> EngineConfig {
         EngineConfig {
             engine: Engine::Stepwise,
-            icache: IcacheMode::SeedFlush,
             ..EngineConfig::default()
         }
     }
@@ -123,12 +124,6 @@ impl EngineConfig {
     /// Selects the guest memory access mode.
     pub fn mem(mut self, mem: MemMode) -> EngineConfig {
         self.mem = mem;
-        self
-    }
-
-    /// Selects the decoded-instruction cache policy.
-    pub fn icache(mut self, icache: IcacheMode) -> EngineConfig {
-        self.icache = icache;
         self
     }
 

@@ -304,7 +304,8 @@ pub struct Kernel {
     retired: u64,
     /// Scheduler engine (see [`EngineConfig`]).
     engine: Engine,
-    /// Icache policy stamped onto each core at slice entry.
+    /// Icache policy stamped onto each core at slice entry, derived from
+    /// the engine by [`Kernel::configure`].
     icache: IcacheMode,
     /// Trace-cache knobs stamped onto each core under [`Engine::Trace`].
     trace_params: sim_cpu::TraceParams,
@@ -368,7 +369,10 @@ impl Kernel {
     pub fn configure(&mut self, cfg: EngineConfig) {
         self.retired = 0;
         self.engine = cfg.engine;
-        self.icache = cfg.icache;
+        self.icache = match cfg.engine {
+            Engine::Stepwise => IcacheMode::SeedFlush,
+            Engine::Block | Engine::Trace => IcacheMode::Revalidate,
+        };
         self.trace_params = cfg.trace;
         self.mem_mode = cfg.mem;
         self.fault = cfg.fault.map(FaultSession::new);

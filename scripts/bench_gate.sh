@@ -1,27 +1,19 @@
 #!/usr/bin/env bash
-# Bench regression gates against the committed baselines.
+# One bench gate over the four committed baselines. Each binary re-measures,
+# renders its fresh run in its baseline's format and hands both to
+# bench::report::gate, which lists every row past its bound. Rows:
 #
-# 1. Profiler gate: re-measure every (workload, interposer) row with
-#    simprof and compare instruction/sample counts against
-#    BENCH_simprof.json. Fails (non-zero exit) when any row drifts beyond
-#    the tolerance band (default 10%; override with SIMPROF_TOL or extra
-#    flags, e.g. `scripts/bench_gate.sh --tol 0.05` — flags are passed to
-#    the simprof gate only).
-# 2. Engine-throughput gate: re-run simperf and check against
-#    BENCH_simperf.json that (a) the three engines' instruction streams
-#    are still byte-identical (determinism), (b) the snapshot run drops
-#    no obs events, and (c) block/trace inst/s have not fallen below
-#    baseline × (1 − tol) (SIMPERF_TOL, default 0.5 — wall-clock
-#    throughput on shared CI is noisy; only slowdowns fail).
-#
-# 3. Coverage gate: re-run the simaudit sweep and require every
-#    (mechanism, workload) cell's coverage to stay at or above the
-#    committed MATRIX_simaudit.txt floor.
-#
-# 4. Scale gate: check the committed BENCH_scale.json still satisfies
-#    the scaling criterion (epoll server >= 5x the polling variant at
-#    the top connection count under K23) and re-measure the epoll/K23
-#    floor cell against the committed throughput.
+#   simprof  BENCH_simprof.json   run period/scale/engine: exact
+#                                 <workload>/<interposer> instructions, samples: band ±10%
+#                                 <workload>/<interposer> dropped_events: criterion = 0
+#   simperf  BENCH_simperf.json   <guest> iterations, instructions: exact
+#                                 <block|trace engine> inst_per_sec: floor 50%
+#                                 obs dropped_events: criterion = 0
+#                                 determinism identical: criterion = true
+#   simaudit MATRIX_simaudit.txt  <mechanism>/<workload> coverage_permille: floor 0%
+#   simscale BENCH_scale.json     K23-default c=<max> epoll_over_poll: criterion >= 5
+#                                 epoll/K23-default c=<min> throughput_per_gcycle
+#                                 (re-measured): floor 20%
 #
 # Refresh the baselines after an intentional change with:
 #   cargo run --release -q -p bench --bin simprof
@@ -30,7 +22,9 @@
 #   cargo run --release -p bench --bin simscale -- --json BENCH_scale.json
 set -euo pipefail
 cd "$(dirname "$0")/.."
-cargo run --release -q -p bench --bin simprof -- --gate BENCH_simprof.json "$@"
-cargo run --release -q -p bench --bin simperf -- --gate BENCH_simperf.json
-cargo run --release -q -p bench --bin simaudit -- --gate MATRIX_simaudit.txt
-cargo run --release -q -p bench --bin simscale -- --gate BENCH_scale.json
+status=0
+for pair in simprof:BENCH_simprof.json simperf:BENCH_simperf.json \
+            simaudit:MATRIX_simaudit.txt simscale:BENCH_scale.json; do
+    cargo run --release -q -p bench --bin "${pair%%:*}" -- --gate "${pair#*:}" || status=1
+done
+exit "$status"

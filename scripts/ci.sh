@@ -50,7 +50,7 @@ cargo run --release -q -p bench --bin simprof -- --smoke
 echo "==> simrecord smoke (record on trace, replay on stepwise, bisection, navigation)"
 cargo run --release -q -p bench --bin simrecord -- --smoke
 
-echo "==> bench gate (profiler counts vs BENCH_simprof.json, engine throughput + determinism vs BENCH_simperf.json)"
+echo "==> bench gate (simprof vs BENCH_simprof.json, simperf vs BENCH_simperf.json, simaudit vs MATRIX_simaudit.txt, simscale vs BENCH_scale.json)"
 scripts/bench_gate.sh
 
 echo "==> ci.sh: all green"
