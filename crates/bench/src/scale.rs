@@ -18,6 +18,7 @@ use sim_kernel::{RunExit, Vfs};
 use sim_loader::{boot_kernel, boot_kernel_from};
 use sim_obs::{EventKind, ObsConfig};
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 use std::sync::{Mutex, OnceLock};
 
 /// The world VFS (libc + every guest image), assembled exactly once per
@@ -131,12 +132,16 @@ fn fnv1a(h: u64, bytes: &[u8]) -> u64 {
     h
 }
 
-fn event_hash(ev: &sim_obs::Event) -> u64 {
+/// Hashes one event; `kind_buf` is scratch for the kind's `Debug` text,
+/// reused across calls.
+fn event_hash(ev: &sim_obs::Event, kind_buf: &mut String) -> u64 {
     let mut h = fnv1a(0, &ev.clock.to_le_bytes());
     h = fnv1a(h, &ev.pid.to_le_bytes());
     h = fnv1a(h, &ev.tid.to_le_bytes());
     h = fnv1a(h, &ev.seq.to_le_bytes());
-    fnv1a(h, format!("{:?}", ev.kind).as_bytes())
+    kind_buf.clear();
+    write!(kind_buf, "{:?}", ev.kind).expect("writing to a String cannot fail");
+    fnv1a(h, kind_buf.as_bytes())
 }
 
 fn percentile(sorted: &[u64], p: f64) -> u64 {
@@ -255,11 +260,12 @@ pub fn run_cell(
     let mut dropped = 0u64;
     let mut digest = 0u64;
     let mut sample: Vec<(u64, u64, u64)> = Vec::new();
+    let mut kind_buf = String::new();
     for ((pid, _tid), ring) in &rec.rings {
         events += ring.events.len() as u64;
         dropped += ring.dropped;
         for ev in &ring.events {
-            let h = event_hash(ev);
+            let h = event_hash(ev, &mut kind_buf);
             digest = fnv1a(digest, &h.to_le_bytes());
             if sample.len() < MERGE_SAMPLE {
                 sample.push((ev.clock, ev.seq, h));

@@ -5,7 +5,9 @@
 use crate::config::{Engine, EngineConfig, FaultSession, ProfSession};
 use crate::net::Net;
 use crate::nr;
-use crate::process::{FdEntry, Pid, Process, SeccompAction, SigAction, Thread, ThreadState, Tid, Wait};
+use crate::process::{
+    FdEntry, Pid, Process, ReadySource, SeccompAction, SigAction, Thread, ThreadState, Tid, Wait,
+};
 use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::{
     inject_passthrough, BoundaryAction, Checkpoint, PageSnap, RecordModeKind, RecordSession,
@@ -984,12 +986,24 @@ impl Kernel {
         }
     }
 
+    /// Marks every epoll member whose readiness follows `src` as possibly
+    /// ready, in every instance of every process (fork-cloned instances
+    /// included). Called wherever that readiness may rise.
+    fn poke_epolls(&mut self, src: ReadySource) {
+        for p in self.procs.values_mut() {
+            for ep in p.epolls.values_mut() {
+                ep.poke(src);
+            }
+        }
+    }
+
     /// Wakes threads blocked on `chan` (readers and bounded-buffer writers),
     /// plus every `epoll_wait` parker: readiness on the channel may satisfy
     /// an interest set, and parked epoll waiters deterministically recompute
     /// and re-block when it doesn't (cheap spurious wakeups instead of
-    /// kernel-side waiter bookkeeping).
+    /// kernel-side waiter bookkeeping). Pokes the channel's epoll members.
     pub fn wake_channel(&mut self, chan: usize) {
+        self.poke_epolls(ReadySource::Chan(chan));
         self.wake_where(|_, w| {
             matches!(w,
                 Wait::ChannelReadable { chan: c, .. } | Wait::ChannelWritable { chan: c, .. }
@@ -999,8 +1013,10 @@ impl Kernel {
     }
 
     /// Wakes threads blocked accepting on `port` (and epoll waiters, for
-    /// listeners registered in an interest set).
+    /// listeners registered in an interest set). Pokes the port's epoll
+    /// members.
     pub fn wake_accept(&mut self, port: u16) {
+        self.poke_epolls(ReadySource::Port(port));
         self.wake_where(|_, w| {
             matches!(w, Wait::Accept { port: p } if *p == port) || matches!(w, Wait::Epoll)
         });
@@ -1018,8 +1034,10 @@ impl Kernel {
 
     /// Wakes readers of eventfd `id` (ids are per-process, but cross-process
     /// collisions only cause a harmless deterministic recompute) and epoll
-    /// waiters.
+    /// waiters, and pokes the eventfd's epoll members (collisions only
+    /// cost a recompute there too).
     pub fn wake_eventfd(&mut self, id: usize) {
+        self.poke_epolls(ReadySource::EventFd(id));
         self.wake_where(|_, w| {
             matches!(w, Wait::EventFd { id: i } if *i == id) || matches!(w, Wait::Epoll)
         });
@@ -2893,7 +2911,7 @@ impl Default for Kernel {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::nr;
     use sim_isa::{Asm, Reg};
@@ -2931,7 +2949,7 @@ mod tests {
         }
     }
 
-    fn kernel_with(code: Vec<u8>) -> (Kernel, Pid) {
+    pub(crate) fn kernel_with(code: Vec<u8>) -> (Kernel, Pid) {
         let mut k = Kernel::new();
         k.set_loader(Rc::new(RawLoader(code)));
         let pid = k.spawn("/bin/raw", &[], &[], None).expect("spawn");

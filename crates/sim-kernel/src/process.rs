@@ -2,7 +2,7 @@
 
 use sim_cpu::Cpu;
 use sim_mem::AddressSpace;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Process identifier.
 pub type Pid = u64;
@@ -247,14 +247,99 @@ pub struct EpollEntry {
     pub seen: u64,
 }
 
+/// What an fd's readiness is computed from. Readiness only rises at the
+/// kernel's wake points for that source, which is where epoll instances
+/// get poked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum ReadySource {
+    /// A channel (pipe, socketpair or connected socket), by index.
+    Chan(usize),
+    /// A listening port's accept backlog.
+    Port(u16),
+    /// An eventfd counter, by per-process id.
+    EventFd(usize),
+}
+
+impl FdEntry {
+    /// The source this entry's readiness follows; `None` when it never
+    /// changes (console, files, snapshots, unbound sockets, epoll).
+    pub(crate) fn ready_source(&self) -> Option<ReadySource> {
+        match self {
+            FdEntry::ChannelRead { chan, .. }
+            | FdEntry::ChannelWrite { chan, .. }
+            | FdEntry::Socket { chan, .. } => Some(ReadySource::Chan(*chan)),
+            FdEntry::Listener { port } => Some(ReadySource::Port(*port)),
+            FdEntry::EventFd { id } => Some(ReadySource::EventFd(*id)),
+            _ => None,
+        }
+    }
+}
+
 /// An epoll instance: interest set keyed by member fd (BTreeMap iteration
 /// order makes `epoll_wait` output deterministic and fd-ordered).
+///
+/// `ready` is the instance's ready list: every armed member *not* in it
+/// has no wanted readiness and an empty `seen` mask, so `epoll_wait` can
+/// walk `ready` alone and produce what a scan of all of `interest` would.
+/// Members enter it when registered, re-armed, or poked through
+/// `by_source`, and leave it when a wait finds them idle.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Epoll {
     /// Member fd → registration.
     pub interest: BTreeMap<i64, EpollEntry>,
     /// Open descriptor count (dup shares the instance).
     pub refs: u32,
+    /// Members that may be ready (a superset of the deliverable ones).
+    pub(crate) ready: BTreeSet<i64>,
+    /// `(source, member)` pairs: the members whose readiness follows each
+    /// source, as one ordered multimap.
+    pub(crate) by_source: BTreeSet<(ReadySource, i64)>,
+}
+
+impl Epoll {
+    /// Registers `fd` (readiness from `src`) and marks it ready. Returns
+    /// false, changing nothing, when `fd` is already a member.
+    pub(crate) fn add(&mut self, fd: i64, entry: EpollEntry, src: Option<ReadySource>) -> bool {
+        if self.interest.contains_key(&fd) {
+            return false;
+        }
+        self.interest.insert(fd, entry);
+        self.retarget(fd, None, src);
+        true
+    }
+
+    /// Drops `fd` (readiness from `src`) from the instance; returns its
+    /// registration if it was a member.
+    pub(crate) fn remove(&mut self, fd: i64, src: Option<ReadySource>) -> Option<EpollEntry> {
+        let entry = self.interest.remove(&fd)?;
+        self.ready.remove(&fd);
+        if let Some(src) = src {
+            self.by_source.remove(&(src, fd));
+        }
+        Some(entry)
+    }
+
+    /// Moves member `fd` from source `from` to source `to` and marks it
+    /// ready (its readiness was just recomputed from a new object). No-op
+    /// for non-members.
+    pub(crate) fn retarget(&mut self, fd: i64, from: Option<ReadySource>, to: Option<ReadySource>) {
+        if !self.interest.contains_key(&fd) {
+            return;
+        }
+        if let Some(src) = from {
+            self.by_source.remove(&(src, fd));
+        }
+        if let Some(src) = to {
+            self.by_source.insert((src, fd));
+        }
+        self.ready.insert(fd);
+    }
+
+    /// Marks every member whose readiness follows `src` as possibly ready.
+    pub(crate) fn poke(&mut self, src: ReadySource) {
+        let members = self.by_source.range((src, i64::MIN)..=(src, i64::MAX));
+        self.ready.extend(members.map(|(_, fd)| *fd));
+    }
 }
 
 /// Per-process statistics (observability for tests and experiments).
@@ -439,8 +524,8 @@ impl Process {
         self.epolls.insert(
             id,
             Epoll {
-                interest: BTreeMap::new(),
                 refs: 1,
+                ..Epoll::default()
             },
         );
         id
@@ -458,8 +543,22 @@ impl Process {
     pub fn alloc_fd(&mut self, entry: FdEntry) -> i64 {
         let fd = self.next_fd;
         self.next_fd += 1;
-        self.fds.insert(fd, entry);
+        self.set_fd(fd, entry);
         fd
+    }
+
+    /// Installs `entry` at `fd`. When that replaces an entry, an epoll
+    /// member at `fd` follows its new object: `bind`/`connect` turn an
+    /// unbound socket into a listener or a socket, and a forked child
+    /// restarts numbering at 3, so `alloc_fd` can land on an inherited fd.
+    pub(crate) fn set_fd(&mut self, fd: i64, entry: FdEntry) {
+        let to = entry.ready_source();
+        if let Some(old) = self.fds.insert(fd, entry) {
+            let from = old.ready_source();
+            for ep in self.epolls.values_mut() {
+                ep.retarget(fd, from, to);
+            }
+        }
     }
 
     /// Looks up an environment variable.

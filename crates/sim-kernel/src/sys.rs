@@ -540,8 +540,9 @@ impl Kernel {
         // set; with per-process single-description fds that means: on close.
         if let Some(p) = self.process_mut(pid) {
             p.nonblock.remove(&fd);
+            let src = entry.ready_source();
             for ep in p.epolls.values_mut() {
-                ep.interest.remove(&fd);
+                ep.remove(fd, src);
             }
         }
         match entry {
@@ -758,9 +759,9 @@ impl Kernel {
         let Some(p) = self.process_mut(pid) else {
             return Disp::Ret(err(nr::ENOENT));
         };
-        match p.fds.get_mut(&fd) {
-            Some(e @ FdEntry::SocketUnbound) => {
-                *e = FdEntry::Listener { port };
+        match p.fds.get(&fd) {
+            Some(FdEntry::SocketUnbound) => {
+                p.set_fd(fd, FdEntry::Listener { port });
                 Disp::Ret(0)
             }
             Some(_) => Disp::Ret(err(nr::EINVAL)),
@@ -808,9 +809,8 @@ impl Kernel {
             .backlog
             .push_back(chan);
         if let Some(p) = self.process_mut(pid) {
-            if let Some(e) = p.fds.get_mut(&fd) {
-                *e = FdEntry::Socket { chan, end: End::A };
-            }
+            // Checked above to be an unbound socket.
+            p.set_fd(fd, FdEntry::Socket { chan, end: End::A });
         }
         self.wake_accept(port);
         Disp::Ret(0)
@@ -1083,37 +1083,39 @@ impl Kernel {
         if fd == epfd {
             return Disp::Ret(err(nr::EINVAL));
         }
-        match p.fds.get(&fd) {
+        let src = match p.fds.get(&fd) {
             None => return Disp::Ret(err(nr::EBADF)),
             // No epoll-on-epoll nesting.
             Some(FdEntry::Epoll { .. }) => return Disp::Ret(err(nr::EINVAL)),
-            Some(_) => {}
-        }
-        let ep = p.epolls.get_mut(&id).expect("live epoll behind an open fd");
+            Some(e) => e.ready_source(),
+        };
+        let Some(ep) = p.epolls.get_mut(&id) else {
+            return Disp::Ret(err(nr::EBADF));
+        };
         let (disp, wake) = match op {
-            nr::EPOLL_CTL_ADD => match ep.interest.entry(fd) {
-                std::collections::btree_map::Entry::Occupied(_) => {
+            nr::EPOLL_CTL_ADD => {
+                let entry = EpollEntry {
+                    events,
+                    armed: true,
+                    seen: 0,
+                };
+                if ep.add(fd, entry, src) {
+                    (Disp::Ret(0), true)
+                } else {
                     (Disp::Ret(err(nr::EEXIST)), false)
                 }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(EpollEntry {
-                        events,
-                        armed: true,
-                        seen: 0,
-                    });
-                    (Disp::Ret(0), true)
-                }
-            },
+            }
             nr::EPOLL_CTL_MOD => match ep.interest.get_mut(&fd) {
                 Some(e) => {
                     e.events = events;
                     e.armed = true;
                     e.seen = 0;
+                    ep.ready.insert(fd);
                     (Disp::Ret(0), true)
                 }
                 None => (Disp::Ret(err(nr::ENOENT)), false),
             },
-            nr::EPOLL_CTL_DEL => match ep.interest.remove(&fd) {
+            nr::EPOLL_CTL_DEL => match ep.remove(fd, src) {
                 Some(_) => (Disp::Ret(0), false),
                 None => (Disp::Ret(err(nr::ENOENT)), false),
             },
@@ -1184,6 +1186,10 @@ impl Kernel {
     /// `epoll_wait(epfd, buf, maxevents)` — simplified ABI: each ready fd
     /// writes one 16-byte record `[fd: u64][events: u64]`; returns the
     /// record count, or parks on [`Wait::Epoll`] when nothing is ready.
+    ///
+    /// Walks only the instance's ready list; members off it would yield
+    /// nothing and change nothing (see [`crate::process::Epoll`]). Debug
+    /// builds check every call against the full-interest scan.
     fn sys_epoll_wait(&mut self, pid: Pid, args: [u64; 6]) -> Disp {
         let (epfd, buf, maxevents) = (args[0] as i64, args[1], args[2] as usize);
         let id = match self.process(pid).and_then(|p| p.fds.get(&epfd)) {
@@ -1194,52 +1200,42 @@ impl Kernel {
         if maxevents == 0 {
             return Disp::Ret(err(nr::EINVAL));
         }
-        // Snapshot the interest set (BTreeMap order → deterministic,
-        // fd-ordered delivery), then compute readiness per member.
-        let interest: Vec<(i64, EpollEntry)> = self
-            .process(pid)
-            .and_then(|p| p.epolls.get(&id))
-            .map(|ep| ep.interest.iter().map(|(f, e)| (*f, *e)).collect())
-            .unwrap_or_default();
-        let mut out: Vec<(i64, u64)> = Vec::new();
-        let mut updates: Vec<(i64, u64, bool)> = Vec::new();
-        for (fd, ent) in &interest {
-            if !ent.armed {
-                continue;
-            }
-            let cur = self.fd_readiness(pid, *fd);
-            // A bit that stopped being ready re-arms its edge.
-            let mut seen = ent.seen & cur;
-            let wanted = cur & (ent.events | nr::EPOLLHUP | nr::EPOLLERR);
-            let fresh = if ent.events & nr::EPOLLET != 0 {
-                wanted & !seen
-            } else {
-                wanted
-            };
-            let mut armed = true;
-            if fresh != 0 && out.len() < maxevents {
-                out.push((*fd, fresh));
-                seen |= fresh;
-                if ent.events & nr::EPOLLONESHOT != 0 {
-                    armed = false;
+        let Some(ep) = self.process(pid).and_then(|p| p.epolls.get(&id)) else {
+            return Disp::Block(Epoll);
+        };
+        let scan = self.epoll_scan(pid, ep, ep.ready.iter().copied(), maxevents);
+        #[cfg(debug_assertions)]
+        {
+            let full = self.epoll_scan_full(pid, ep, maxevents);
+            assert_eq!(
+                (&scan.out, &scan.updates),
+                (&full.out, &full.updates),
+                "epoll_wait ready-list walk diverged from the full-interest scan"
+            );
+        }
+        let EpollScan { out, updates, idle } = scan;
+        let Some(ep) = self.process_mut(pid).and_then(|p| p.epolls.get_mut(&id)) else {
+            return Disp::Block(Epoll);
+        };
+        if out.is_empty() {
+            // Nothing ready: park without applying the `seen` updates (the
+            // retry recomputes them), so a member that has one stays on
+            // the ready list.
+            for fd in idle {
+                if updates.binary_search_by_key(&fd, |u| u.0).is_err() {
+                    ep.ready.remove(&fd);
                 }
             }
-            if seen != ent.seen || armed != ent.armed {
-                updates.push((*fd, seen, armed));
-            }
-        }
-        if out.is_empty() {
-            // Nothing ready: park. Deferred `seen` updates are recomputed
-            // identically on the post-wake retry.
             return Disp::Block(Epoll);
         }
-        if let Some(ep) = self.process_mut(pid).and_then(|p| p.epolls.get_mut(&id)) {
-            for (fd, seen, armed) in updates {
-                if let Some(e) = ep.interest.get_mut(&fd) {
-                    e.seen = seen;
-                    e.armed = armed;
-                }
+        for (fd, seen, armed) in updates {
+            if let Some(e) = ep.interest.get_mut(&fd) {
+                e.seen = seen;
+                e.armed = armed;
             }
+        }
+        for fd in idle {
+            ep.ready.remove(&fd);
         }
         let mut bytes = Vec::with_capacity(out.len() * 16);
         for (fd, ev) in &out {
@@ -1252,6 +1248,73 @@ impl Kernel {
             Err(e) => Disp::Ret(e),
         }
     }
+
+    /// One `epoll_wait` pass of instance `ep` over `members` (ascending
+    /// fds; non-members are skipped).
+    fn epoll_scan(
+        &self,
+        pid: Pid,
+        ep: &crate::process::Epoll,
+        members: impl Iterator<Item = i64>,
+        maxevents: usize,
+    ) -> EpollScan {
+        let mut scan = EpollScan::default();
+        for fd in members {
+            let Some(ent) = ep.interest.get(&fd) else {
+                continue;
+            };
+            if !ent.armed {
+                scan.idle.push(fd);
+                continue;
+            }
+            let cur = self.fd_readiness(pid, fd);
+            // A bit that stopped being ready re-arms its edge.
+            let mut seen = ent.seen & cur;
+            let wanted = cur & (ent.events | nr::EPOLLHUP | nr::EPOLLERR);
+            let fresh = if ent.events & nr::EPOLLET != 0 {
+                wanted & !seen
+            } else {
+                wanted
+            };
+            let mut armed = true;
+            if fresh != 0 && scan.out.len() < maxevents {
+                scan.out.push((fd, fresh));
+                seen |= fresh;
+                if ent.events & nr::EPOLLONESHOT != 0 {
+                    armed = false;
+                }
+            }
+            if seen != ent.seen || armed != ent.armed {
+                scan.updates.push((fd, seen, armed));
+            }
+            // `seen ⊆ wanted`, so nothing wanted means nothing seen once
+            // the updates land.
+            if wanted == 0 || !armed {
+                scan.idle.push(fd);
+            }
+        }
+        scan
+    }
+
+    /// The scan over the whole interest set: what every `epoll_wait` did
+    /// before the ready list, kept as the oracle the ready-list walk must
+    /// match.
+    #[cfg(any(test, debug_assertions))]
+    fn epoll_scan_full(&self, pid: Pid, ep: &crate::process::Epoll, maxevents: usize) -> EpollScan {
+        self.epoll_scan(pid, ep, ep.interest.keys().copied(), maxevents)
+    }
+}
+
+/// The outcome of one `epoll_wait` pass.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct EpollScan {
+    /// Delivered `(fd, events)` records, at most `maxevents`.
+    out: Vec<(i64, u64)>,
+    /// `(fd, seen, armed)` entry updates, in fd order; applied only when
+    /// `out` is non-empty.
+    updates: Vec<(i64, u64, bool)>,
+    /// Members that, once the updates land, yield nothing until a poke.
+    idle: Vec<i64>,
 }
 
 fn prot_to_perms(prot: u64) -> sim_mem::Perms {
@@ -1267,3 +1330,6 @@ fn prot_to_perms(prot: u64) -> sim_mem::Perms {
     }
     p
 }
+
+#[cfg(test)]
+mod epoll_tests;

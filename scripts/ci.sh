@@ -50,6 +50,14 @@ cargo run --release -q -p bench --bin simprof -- --smoke
 echo "==> simrecord smoke (record on trace, replay on stepwise, bisection, navigation)"
 cargo run --release -q -p bench --bin simrecord -- --smoke
 
+echo "==> hostbench connscale (hostbench exits 0 on failed cells: check every cell's outcome)"
+cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+    --workload connscale --seconds 1 --trace 0 > target/HOSTBENCH_connscale.txt
+tail -n 1 target/HOSTBENCH_connscale.txt | grep -q '"correct": true' || {
+    echo "hostbench connscale: a cell disagrees with hostbench/outcomes.tsv" >&2
+    exit 1
+}
+
 echo "==> bench gate (simprof vs BENCH_simprof.json, simperf vs BENCH_simperf.json, simaudit vs MATRIX_simaudit.txt, simscale vs BENCH_scale.json)"
 scripts/bench_gate.sh
 
