@@ -6,6 +6,10 @@ use crate::trace::{TraceCache, TraceOp, TraceParams};
 use sim_isa::{decode, Cond, Inst, Reg};
 use sim_mem::{AddressSpace, Fault, Pkru};
 
+/// Encoding of the one-byte `nop` ([`Inst::Nop`]) that trampoline sleds
+/// are made of.
+const NOP: u8 = 0x90;
+
 /// Arithmetic flags.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Flags {
@@ -642,28 +646,11 @@ impl Cpu {
                 // Batch-consume nop runs (the trampoline sled): zero-cost
                 // single-byte nops with no architectural effect, so skipping
                 // the whole run in one step is semantically identical and
-                // keeps sled traversal cheap for the host.
-                let mut end = next;
-                let mut buf = [0u8; 64];
-                #[allow(clippy::while_let_loop)] // labeled break from the inner scan
-                'scan: loop {
-                    let n = match mem.fetch(end, &mut buf, self.pkru) {
-                        Ok(n) => n,
-                        Err(_) => break,
-                    };
-                    for &b in &buf[..n] {
-                        if b != 0x90 {
-                            break 'scan;
-                        }
-                        end += 1;
-                        self.retired += 1;
-                    }
-                    if n < buf.len() {
-                        break;
-                    }
-                }
-                self.rip = end;
-                self.retired += 1;
+                // keeps sled traversal cheap for the host. The run is
+                // scanned in place, one translation per page.
+                let run = mem.exec_run_len(next, NOP);
+                self.rip = next.wrapping_add(run);
+                self.retired += run + 1;
                 return Step {
                     event: StepEvent::Executed,
                     cycles,
@@ -1535,8 +1522,103 @@ enum TraceRun {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sim_isa::Asm;
-    use sim_mem::Perms;
+    use sim_mem::{Perms, PAGE_SIZE};
+
+    /// Reference for [`AddressSpace::exec_run_len`] on nops: 64-byte
+    /// fetches, tested byte by byte.
+    fn nop_run_ref(mem: &mut AddressSpace, addr: u64, pkru: Pkru) -> u64 {
+        let mut end = addr;
+        let mut buf = [0u8; 64];
+        #[allow(clippy::while_let_loop)] // labeled break from the inner scan
+        'scan: loop {
+            let n = match mem.fetch(end, &mut buf, pkru) {
+                Ok(n) => n,
+                Err(_) => break,
+            };
+            for &b in &buf[..n] {
+                if b != NOP {
+                    break 'scan;
+                }
+                end += 1;
+            }
+            if n < buf.len() {
+                break;
+            }
+        }
+        end - addr
+    }
+
+    /// Four pages from 0x10000 whose kind is picked per page (RX, XOM
+    /// behind a denied protection key, read-only, unmapped), then a hole,
+    /// with a nop run of `nops` bytes from `start` that stops at a
+    /// `hlt` (or at the layout's end).
+    fn sled_layout(kinds: &[u64], start: u64, nops: u64) -> AddressSpace {
+        let mut mem = AddressSpace::new();
+        for (i, &kind) in kinds.iter().enumerate() {
+            let page = 0x10000 + i as u64 * PAGE_SIZE;
+            let perms = match kind {
+                0 | 1 => Perms::RX,
+                2 => Perms::R,
+                _ => continue,
+            };
+            mem.map(page, PAGE_SIZE, perms, "sled").unwrap();
+            let fill: Vec<u8> = (0..PAGE_SIZE)
+                .map(|o| {
+                    let a = page + o;
+                    if a >= start && a < start + nops {
+                        NOP
+                    } else if a == start + nops {
+                        0xf4
+                    } else {
+                        (a % 7) as u8
+                    }
+                })
+                .collect();
+            mem.write_raw(page, &fill).unwrap();
+            if kind == 1 {
+                mem.set_pkey(page, PAGE_SIZE, 1).unwrap();
+            }
+        }
+        mem
+    }
+
+    proptest! {
+        /// The in-place scan finds the run the 64-byte fetch loop found,
+        /// across page boundaries, protection changes, PKU-guarded
+        /// execute-only pages and holes; a nop step then leaves `rip`,
+        /// `retired` and the charged cycles as the reference predicts, in
+        /// both memory modes.
+        #[test]
+        fn nop_run_scan_equals_fetch_loop(
+            kinds in proptest::collection::vec(0u64..4, 4..5),
+            start in 0x10000u64..0x14000,
+            nops in 0u64..(2 * PAGE_SIZE + 64),
+            legacy in any::<bool>(),
+        ) {
+            let mut mem = sled_layout(&kinds, start, nops);
+            if legacy {
+                mem.set_mem_mode(sim_mem::MemMode::Legacy);
+            }
+            let mut pkru = Pkru::ALL_ACCESS;
+            pkru.set_access_disable(1, true);
+            let mut reference = mem.clone();
+            let want = nop_run_ref(&mut reference, start, pkru);
+            prop_assert_eq!(mem.clone().exec_run_len(start, NOP), want);
+            if want > 0 {
+                // `start` holds an executable nop: step it.
+                let mut cpu = Cpu::new();
+                cpu.pkru = pkru;
+                cpu.rip = start;
+                let step = cpu.step(&mut mem, 0, &CostModel::DEFAULT);
+                prop_assert_eq!(step.event, StepEvent::Executed);
+                prop_assert_eq!(step.cycles, CostModel::DEFAULT.inst_cost(&Inst::Nop));
+                prop_assert_eq!(cpu.rip, start + want);
+                prop_assert_eq!(cpu.retired, want);
+            }
+        }
+    }
 
     fn setup(code: &[u8]) -> (Cpu, AddressSpace) {
         let mut mem = AddressSpace::new();

@@ -7,6 +7,7 @@ use crate::net::Net;
 use crate::nr;
 use crate::process::{
     FdEntry, Pid, Process, ReadySource, SeccompAction, SigAction, Thread, ThreadState, Tid, Wait,
+    PROF_MAX_FRAMES, PROF_SCAN_SLOTS,
 };
 use crate::ptrace_if::{Stop, TraceOpts, Tracer, TracerAction};
 use crate::record::{
@@ -716,6 +717,7 @@ impl Kernel {
             p.symbols = img.symbols;
             p.lib_bases = img.lib_bases;
             p.symcache = None;
+            *p.prof_cache = Default::default();
             // Stack layers survive exec only if they opted in, and the
             // chain-site resolution is stale either way (the new image may
             // not even carry the base's handler library — the P1a
@@ -1358,40 +1360,50 @@ impl Kernel {
     }
 
     /// Captures one profiler sample: the post-step RIP plus a
-    /// conservative return-address scan of the guest stack, symbolized
-    /// against the process's image maps.
+    /// conservative return-address scan of the guest stack, resolved to
+    /// frame ids through the process's profiler caches
+    /// ([`Process::prof_stack`], [`Process::prof_frame_ids`]). Debug
+    /// builds check every sample against the string walk of
+    /// [`Kernel::symbolized_stack`].
     fn take_prof_sample(&mut self, pid: Pid, tid: Tid) {
         let clock = self.clock;
-        let frames = self.symbolized_stack(pid, tid);
-        if frames.is_empty() {
+        let Some(p) = self.procs.get_mut(&pid) else {
             return;
-        }
-        sim_obs::profile_sample(clock, &frames);
+        };
+        let Some((rip, rsp)) = p.thread(tid).map(|t| (t.cpu.rip, t.cpu.get(Reg::Rsp))) else {
+            return;
+        };
+        let mut addrs = [0u64; PROF_MAX_FRAMES];
+        let n = p.prof_stack(rip, rsp, &mut addrs);
+        let mut ids = [0u32; PROF_MAX_FRAMES];
+        p.prof_frame_ids(&addrs[..n], &mut ids[..n]);
+        #[cfg(debug_assertions)]
+        assert_eq!(
+            sim_obs::frame_names(&ids[..n]),
+            self.symbolized_stack(pid, tid),
+            "profiler sample diverged from the symbolized_stack walk"
+        );
+        sim_obs::profile_stack(clock, &ids[..n]);
     }
 
     /// The symbolized guest stack of `(pid, tid)`: the current RIP plus a
     /// conservative return-address scan (values in the first
-    /// [`Self::PROF_SCAN_SLOTS`] stack slots that point into executable
-    /// mappings), resolved through the process's symbol cache. Shared by
-    /// the sampling profiler and the replay divergence reporter; reads
-    /// guest state but never writes it and charges no cycles. Empty when
-    /// the thread is gone.
+    /// `PROF_SCAN_SLOTS` stack slots that point into executable
+    /// mappings), resolved through the process's symbol cache. Used by
+    /// the replay divergence reporter, and the reference walk the
+    /// sampling profiler's cached one is checked against; reads guest
+    /// state but never writes it and charges no cycles. Empty when the
+    /// thread is gone.
     pub fn symbolized_stack(&mut self, pid: Pid, tid: Tid) -> Vec<String> {
-        const MAX_FRAMES: usize = 16;
         let Some(p) = self.procs.get_mut(&pid) else {
             return Vec::new();
         };
-        let Some((rip, rsp)) = p
-            .threads
-            .iter()
-            .find(|t| t.tid == tid)
-            .map(|t| (t.cpu.rip, t.cpu.get(Reg::Rsp)))
-        else {
+        let Some((rip, rsp)) = p.thread(tid).map(|t| (t.cpu.rip, t.cpu.get(Reg::Rsp))) else {
             return Vec::new();
         };
         let mut addrs = vec![rip];
-        for i in 0..Self::PROF_SCAN_SLOTS {
-            if addrs.len() >= MAX_FRAMES {
+        for i in 0..PROF_SCAN_SLOTS as u64 {
+            if addrs.len() >= PROF_MAX_FRAMES {
                 break;
             }
             let Some(at) = rsp.checked_add(8 * i) else {
@@ -1408,9 +1420,6 @@ impl Kernel {
         }
         p.symbolize_frames(&addrs)
     }
-
-    /// Stack slots scanned per sample by the return-address walker.
-    const PROF_SCAN_SLOTS: u64 = 64;
 
     // ---- record/replay session plumbing ------------------------------------
 

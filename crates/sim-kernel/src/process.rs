@@ -1,7 +1,7 @@
 //! Processes, threads, file descriptors, and per-thread SUD state.
 
 use sim_cpu::Cpu;
-use sim_mem::AddressSpace;
+use sim_mem::{AddressSpace, PAGE_SIZE};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Process identifier.
@@ -459,6 +459,11 @@ pub struct Process {
     /// symbolization, keyed by `symbols.len()` for invalidation and
     /// explicitly cleared on exec.
     pub(crate) symcache: Option<(usize, Vec<(u64, String)>)>,
+    /// The sampling profiler's executable ranges and frame-id memo;
+    /// replaced on exec. Boxed: it is profiler-only state, and keeping
+    /// it out of line keeps `Process` (stored by value in the kernel's
+    /// process map) at its unprofiled size.
+    pub(crate) prof_cache: Box<ProfCache>,
     /// Epoll instances owned by this process, keyed by the `id` inside
     /// `FdEntry::Epoll`. Slots persist after close (ids stay stable);
     /// `refs == 0` marks a dead instance.
@@ -509,6 +514,7 @@ impl Process {
             chain_sites: None,
             region_cache: sim_cpu::FastMap::default(),
             symcache: None,
+            prof_cache: Box::default(),
             epolls: BTreeMap::new(),
             next_epoll: 0,
             eventfds: BTreeMap::new(),
@@ -596,6 +602,12 @@ impl Process {
     /// address. Names omit the intra-symbol offset so folded stacks
     /// aggregate by function.
     pub(crate) fn symbolize_frames(&mut self, addrs: &[u64]) -> Vec<String> {
+        addrs.iter().map(|&addr| self.symbolize(addr)).collect()
+    }
+
+    /// The profiler name of one guest address (see
+    /// [`Process::symbolize_frames`]).
+    fn symbolize(&mut self, addr: u64) -> String {
         let n = self.symbols.len();
         if self.symcache.as_ref().map(|(k, _)| *k) != Some(n) {
             let mut tab: Vec<(u64, String)> = self
@@ -609,27 +621,147 @@ impl Process {
             self.symcache = Some((n, tab));
         }
         let tab = &self.symcache.as_ref().expect("just built").1;
-        addrs
-            .iter()
-            .map(|&addr| {
-                let mapping = self.space.mapping_at(addr);
-                let idx = tab.partition_point(|e| e.0 <= addr);
-                if idx > 0 {
-                    let (sym_addr, name) = &tab[idx - 1];
-                    if mapping.is_none_or(|m| *sym_addr >= m.start) {
-                        return name.clone();
-                    }
-                }
-                match mapping {
-                    Some(m) => {
-                        let base = m.name.rsplit('/').next().unwrap_or(&m.name);
-                        format!("{}+{:#x}", base, addr - m.start)
-                    }
-                    None => format!("{addr:#x}"),
-                }
-            })
-            .collect()
+        let mapping = self.space.mapping_at(addr);
+        let idx = tab.partition_point(|e| e.0 <= addr);
+        if idx > 0 {
+            let (sym_addr, name) = &tab[idx - 1];
+            if mapping.is_none_or(|m| *sym_addr >= m.start) {
+                return name.clone();
+            }
+        }
+        match mapping {
+            Some(m) => {
+                let base = m.name.rsplit('/').next().unwrap_or(&m.name);
+                format!("{}+{:#x}", base, addr - m.start)
+            }
+            None => format!("{addr:#x}"),
+        }
     }
+
+    /// The sampling profiler's stack walk: `rip`, then the values in the
+    /// first [`PROF_SCAN_SLOTS`] u64 slots above `rsp` that point into
+    /// executable mappings, up to [`PROF_MAX_FRAMES`] frames in all,
+    /// stopping at the first slot that is not mapped. Writes the frames
+    /// into `out` and returns how many there are.
+    ///
+    /// The same walk as `Kernel::symbolized_stack`, with no allocation:
+    /// the window is read one page run at a time (a page only when the
+    /// walk reaches it, so it touches the pages the slot-by-slot walk
+    /// touches), and the executable test is a binary search over
+    /// [`ProfCache`]'s ranges instead of a mapping scan per slot.
+    pub(crate) fn prof_stack(
+        &mut self,
+        rip: u64,
+        rsp: u64,
+        out: &mut [u64; PROF_MAX_FRAMES],
+    ) -> usize {
+        let gen = self.space.generation();
+        let cache = &mut self.prof_cache;
+        if cache.exec_gen != gen {
+            cache.exec.clear();
+            cache.exec.extend(
+                self.space
+                    .mappings()
+                    .into_iter()
+                    .filter(|m| m.perms.executable())
+                    .map(|m| (m.start, m.end)),
+            );
+            cache.exec_gen = gen;
+        }
+        let exec = &cache.exec;
+        out[0] = rip;
+        let mut n = 1;
+        // Slots whose start address does not overflow; a slot's bytes
+        // may still wrap, as the slot-by-slot reads did.
+        let slots = PROF_SCAN_SLOTS.min(((u64::MAX - rsp) / 8) as usize + 1);
+        let mut window = [0u8; 8 * PROF_SCAN_SLOTS];
+        let window = &mut window[..8 * slots];
+        let (mut filled, mut slot) = (0usize, 0usize);
+        while slot < slots && n < PROF_MAX_FRAMES {
+            let at = rsp.wrapping_add(filled as u64);
+            let run = (PAGE_SIZE - at % PAGE_SIZE).min((window.len() - filled) as u64) as usize;
+            if self
+                .space
+                .read_raw(at, &mut window[filled..filled + run])
+                .is_err()
+            {
+                break;
+            }
+            filled += run;
+            // Every slot this run completes; a slot straddling into the
+            // next page waits for the next run.
+            for bytes in window[8 * slot..filled].chunks_exact(8) {
+                if n == PROF_MAX_FRAMES {
+                    break;
+                }
+                let v = u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
+                if v != 0 && in_ranges(exec, v) {
+                    out[n] = v;
+                    n += 1;
+                }
+                slot += 1;
+            }
+        }
+        n
+    }
+
+    /// Resolves `addrs` to frame ids of the live `sim-obs` recording,
+    /// leaf first, through [`ProfCache`]'s `address → frame id` memo:
+    /// only an address the memo has not seen under the current
+    /// `(recording epoch, symbols.len(), space generation)` is
+    /// symbolized and interned. Frames are interned in the order the
+    /// string walk interned them, so frame ids match it too.
+    pub(crate) fn prof_frame_ids(&mut self, addrs: &[u64], out: &mut [u32]) {
+        let key = (
+            sim_obs::epoch(),
+            self.symbols.len(),
+            self.space.generation(),
+        );
+        if self.prof_cache.memo_key != key {
+            self.prof_cache.memo.clear();
+            self.prof_cache.memo_key = key;
+        }
+        for (slot, &addr) in out.iter_mut().zip(addrs) {
+            *slot = match self.prof_cache.memo.get(&addr) {
+                Some(&id) => id,
+                None => {
+                    let name = self.symbolize(addr);
+                    let id = sim_obs::intern_frame(&name).expect("sampling while recording");
+                    self.prof_cache.memo.insert(addr, id);
+                    id
+                }
+            };
+        }
+    }
+}
+
+/// True when `v` lies in one of the sorted, disjoint `[start, end)`
+/// `ranges`.
+fn in_ranges(ranges: &[(u64, u64)], v: u64) -> bool {
+    let r = ranges.partition_point(|&(start, _)| start <= v);
+    r > 0 && v < ranges[r - 1].1
+}
+
+/// Most frames in one profiler sample (the RIP included).
+pub(crate) const PROF_MAX_FRAMES: usize = 16;
+/// Stack slots scanned per sample by the return-address walker.
+pub(crate) const PROF_SCAN_SLOTS: usize = 64;
+
+/// Per-process caches of the sampling profiler. Both start empty: space
+/// generations start at 1 and recording epochs at 1, so the zero keys
+/// never match. A fresh address space restarts its generation count, so
+/// exec replaces the whole cache rather than trusting the keys.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ProfCache {
+    /// Space generation [`ProfCache::exec`] was built at.
+    exec_gen: u64,
+    /// Sorted, disjoint `[start, end)` of the executable mappings.
+    exec: Vec<(u64, u64)>,
+    /// `(recording epoch, symbols.len(), space generation)` the memo is
+    /// valid for.
+    memo_key: (u64, usize, u64),
+    /// Guest address → interned frame id.
+    memo: sim_cpu::FastMap<u64, u32>,
 }
 
 #[cfg(test)]

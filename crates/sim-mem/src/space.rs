@@ -814,6 +814,41 @@ impl AddressSpace {
         Ok(len)
     }
 
+    /// Length of the run of `byte` starting at `addr` in executable
+    /// memory, scanned in place in the page frames: one translation and
+    /// execute check per page. The run ends at the first other byte, or
+    /// at an unmapped or non-executable page. Like a fetch it ignores
+    /// protection keys, and it touches only the pages it scans.
+    pub fn exec_run_len(&mut self, addr: u64, byte: u8) -> u64 {
+        let mut len = 0u64;
+        loop {
+            let a = addr.wrapping_add(len);
+            let base = Self::page_base(a);
+            let off = (a - base) as usize;
+            let page = if self.legacy {
+                self.materialize_slot(base)
+                    .map(|slot| (slot, self.frames[slot as usize].perms))
+            } else {
+                self.load_page(base).map(|(slot, perms, _)| (slot, perms))
+            };
+            let Some((slot, _)) = page.filter(|(_, perms)| perms.executable()) else {
+                return len;
+            };
+            let run = &self.frames[slot as usize].data[off..];
+            sim_obs::page_run(run.len() as u64);
+            // Whole words first, then the byte that ends the run.
+            let word = u64::from_ne_bytes([byte; 8]);
+            let same = 8 * run
+                .chunks_exact(8)
+                .take_while(|w| u64::from_ne_bytes((*w).try_into().expect("8 bytes")) == word)
+                .count();
+            match run[same..].iter().position(|&b| b != byte) {
+                Some(n) => return len + (same + n) as u64,
+                None => len += run.len() as u64,
+            }
+        }
+    }
+
     /// Byte-at-a-time reference twin of [`AddressSpace::fetch`].
     ///
     /// # Errors

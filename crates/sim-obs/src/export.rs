@@ -401,20 +401,30 @@ impl Recorder {
         s
     }
 
+    /// Sample count per interned stack, indexed like [`Recorder::stacks`]
+    /// (every stack is interned by a sample, so no count is zero).
+    fn stack_counts(&self) -> Vec<u64> {
+        let mut counts = vec![0u64; self.stacks.len()];
+        for sample in &self.samples {
+            counts[sample.stack as usize] += 1;
+        }
+        counts
+    }
+
     /// Profiler samples in folded-stack format (`a;b;c count` lines,
     /// root first), the input format of flamegraph tooling. Aggregated
     /// into a BTreeMap so the output is sorted and deterministic.
     pub fn folded_stacks(&self) -> String {
         let mut agg: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
-        for sample in &self.samples {
-            let stack = sample
-                .frames
+        for (id, n) in self.stack_counts().into_iter().enumerate() {
+            let stack = self
+                .stack(id as u32)
                 .iter()
                 .rev()
                 .map(|&f| self.frame_names[f as usize].as_str())
                 .collect::<Vec<_>>()
                 .join(";");
-            *agg.entry(stack).or_insert(0) += 1;
+            *agg.entry(stack).or_insert(0) += n;
         }
         let mut s = String::new();
         for (stack, n) in &agg {
@@ -481,13 +491,13 @@ impl Recorder {
             }
         }
         let mut root = Node::new();
-        for sample in &self.samples {
-            root.total += 1;
+        for (id, n) in self.stack_counts().into_iter().enumerate() {
+            root.total += n;
             let mut node = &mut root;
-            for &f in sample.frames.iter().rev() {
+            for &f in self.stack(id as u32).iter().rev() {
                 let name = self.frame_names[f as usize].clone();
                 node = node.children.entry(name).or_insert_with(Node::new);
-                node.total += 1;
+                node.total += n;
             }
         }
         const W: f64 = 1200.0;
@@ -568,8 +578,8 @@ fn svg_escape_truncate(name: &str, width: f64) -> String {
 #[cfg(test)]
 mod tests {
     use crate::{
-        disable, enable, profile_sample, span_enter, span_exit, syscall_enter, syscall_exit,
-        tracer_stop, EventKind, ObsConfig,
+        disable, enable, intern_frame, profile_stack, span_enter, span_exit, syscall_enter,
+        syscall_exit, tracer_stop, EventKind, ObsConfig,
     };
 
     #[test]
@@ -644,15 +654,11 @@ mod tests {
     fn folded_stacks_and_flamegraph_are_deterministic() {
         enable(ObsConfig::default());
         crate::set_cpu(1, 1);
-        let a = vec!["app:main".to_string(), "app:_start".to_string()];
-        let b = vec![
-            "libk23.so:k23_handler".to_string(),
-            "app:main".to_string(),
-            "app:_start".to_string(),
-        ];
-        profile_sample(10, &a);
-        profile_sample(20, &b);
-        profile_sample(30, &a);
+        let [handler, main, start] = ["libk23.so:k23_handler", "app:main", "app:_start"]
+            .map(|name| intern_frame(name).expect("recording"));
+        profile_stack(10, &[main, start]);
+        profile_stack(20, &[handler, main, start]);
+        profile_stack(30, &[main, start]);
         span_enter(5, "K23-default/handler");
         span_exit(45);
         let rec = disable().expect("recorder");

@@ -53,7 +53,8 @@
 mod export;
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Label used for syscall sites not inside any registered interposer
 /// region: sites in the application or libc images ("direct" syscalls).
@@ -167,13 +168,8 @@ pub struct ObsConfig {
 
 impl Default for ObsConfig {
     fn default() -> Self {
-        let ring_capacity = std::env::var("SIM_OBS_RING_CAP")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(1 << 16);
         ObsConfig {
-            ring_capacity,
+            ring_capacity: 1 << 16,
             micro_events: false,
             audit_events: false,
         }
@@ -352,15 +348,15 @@ struct Pending {
     path: u16,
 }
 
-/// One profiler sample: the simulated clock, the CPU it was taken on,
-/// and the symbolized guest call stack, leaf first. Frames index
-/// [`Recorder::frame_names`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One profiler sample: the simulated clock, the CPU it was taken on
+/// (an index into [`Recorder::cpus`]) and its interned stack (an index
+/// into [`Recorder::stacks`]). Sixteen bytes, no heap: resolve the frames
+/// with [`Recorder::stack`] and the `(pid, tid)` with [`Recorder::cpu`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProfSample {
     pub clock: u64,
-    pub pid: u64,
-    pub tid: u64,
-    pub frames: Vec<u32>,
+    pub cpu: u32,
+    pub stack: u32,
 }
 
 /// All state captured while tracing is enabled. Returned by [`disable`]
@@ -390,9 +386,16 @@ pub struct Recorder {
     /// keyed like [`Recorder::latency`] by path id. Fed by the kernel's
     /// audit session ([`audit_tag`]); empty unless auditing ran.
     pub audit_by_path: BTreeMap<u16, [u64; 3]>,
-    /// Interned symbolized frame names; [`ProfSample::frames`] indexes it.
+    /// Interned symbolized frame names; [`Recorder::stacks`] index it.
     pub frame_names: Vec<String>,
     frame_ids: BTreeMap<String, u32>,
+    /// Interned call stacks (frame ids, leaf first);
+    /// [`ProfSample::stack`] indexes it.
+    pub stacks: Vec<Box<[u32]>>,
+    stack_ids: HashMap<Box<[u32]>, u32>,
+    /// Interned simulated CPUs `(pid, tid)`; [`ProfSample::cpu`] indexes it.
+    pub cpus: Vec<(u64, u64)>,
+    cpu_ids: BTreeMap<(u64, u64), u32>,
     pending: BTreeMap<(u64, u64), Pending>,
     last_selector: BTreeMap<(u64, u64), u8>,
     /// Per-CPU stack of open explicit spans: `(stage, enter_clock)`.
@@ -416,6 +419,10 @@ impl Recorder {
             audit_by_path: BTreeMap::new(),
             frame_names: Vec::new(),
             frame_ids: BTreeMap::new(),
+            stacks: Vec::new(),
+            stack_ids: HashMap::new(),
+            cpus: Vec::new(),
+            cpu_ids: BTreeMap::new(),
             pending: BTreeMap::new(),
             last_selector: BTreeMap::new(),
             span_stack: BTreeMap::new(),
@@ -488,6 +495,47 @@ impl Recorder {
         self.frame_names.push(name.to_string());
         self.frame_ids.insert(name.to_string(), i);
         i
+    }
+
+    /// Index of `frames` in [`Recorder::stacks`], interning it if new.
+    /// A hit hashes the slice and allocates nothing.
+    fn stack_id(&mut self, frames: &[u32]) -> u32 {
+        if let Some(&i) = self.stack_ids.get(frames) {
+            return i;
+        }
+        let i = self.stacks.len() as u32;
+        self.stacks.push(frames.into());
+        self.stack_ids.insert(frames.into(), i);
+        i
+    }
+
+    /// Index of `cpu` in [`Recorder::cpus`], interning it if new.
+    fn cpu_id(&mut self, cpu: (u64, u64)) -> u32 {
+        if let Some(&i) = self.cpu_ids.get(&cpu) {
+            return i;
+        }
+        let i = self.cpus.len() as u32;
+        self.cpus.push(cpu);
+        self.cpu_ids.insert(cpu, i);
+        i
+    }
+
+    /// The frame ids of interned stack `id` (a [`ProfSample::stack`]),
+    /// leaf first.
+    pub fn stack(&self, id: u32) -> &[u32] {
+        &self.stacks[id as usize]
+    }
+
+    /// The `(pid, tid)` of interned CPU `id` (a [`ProfSample::cpu`]).
+    pub fn cpu(&self, id: u32) -> (u64, u64) {
+        self.cpus[id as usize]
+    }
+
+    /// The frame names of `sample`'s stack, leaf first.
+    pub fn sample_frames<'a>(&'a self, sample: &ProfSample) -> impl Iterator<Item = &'a str> {
+        self.stack(sample.stack)
+            .iter()
+            .map(|&f| self.frame_names[f as usize].as_str())
     }
 
     pub fn total_events(&self) -> u64 {
@@ -573,7 +621,13 @@ thread_local! {
     /// mid-run while the stale ones cover it from instruction zero.
     static SPAN_RANGES: RefCell<Vec<SpanRange>> = const { RefCell::new(Vec::new()) };
     static SPAN_CUR: Cell<SpanCur> = const { Cell::new(SPAN_CUR_INVALID) };
+    /// The live recording's [`epoch`]; 0 while disabled.
+    static EPOCH: Cell<u64> = const { Cell::new(0) };
 }
+
+/// Source of recording epochs, shared by every host thread so an epoch
+/// names one recording even for a kernel that changes threads.
+static NEXT_EPOCH: AtomicU64 = AtomicU64::new(1);
 
 /// Fast gate checked by every tracepoint; `false` unless [`enable`] is
 /// active on this host thread.
@@ -589,6 +643,7 @@ pub fn enable(cfg: ObsConfig) {
     CPU.with(|c| c.set((0, 0)));
     SPAN_RANGES.with(|m| m.borrow_mut().clear());
     SPAN_CUR.with(|c| c.set(SPAN_CUR_INVALID));
+    EPOCH.with(|e| e.set(NEXT_EPOCH.fetch_add(1, Ordering::Relaxed)));
     ENABLED.with(|e| e.set(true));
 }
 
@@ -611,6 +666,7 @@ pub fn set_ring_capacity(cap: usize) {
 /// Stops recording and hands the recorder to the caller for export.
 pub fn disable() -> Option<Box<Recorder>> {
     ENABLED.with(|e| e.set(false));
+    EPOCH.with(|e| e.set(0));
     RECORDER.with(|r| r.borrow_mut().take())
 }
 
@@ -1072,23 +1128,51 @@ fn span_step_slow(clock: u64, rip: u64, pid: u64, tid: u64) {
     });
 }
 
-/// Stores one profiler sample: `frames` is the symbolized guest call
-/// stack, leaf first, interned into [`Recorder::frame_names`].
-pub fn profile_sample(clock: u64, frames: &[String]) {
+/// Stores one profiler sample whose frames were interned with
+/// [`intern_frame`] during the current recording ([`epoch`]), leaf
+/// first. The stack and the CPU are interned; the sample itself is
+/// sixteen bytes.
+pub fn profile_stack(clock: u64, frames: &[u32]) {
     if !enabled() {
         return;
     }
     set_clock(clock);
     let cpu = CPU.with(|c| c.get());
     with_rec(|r| {
-        let frames = frames.iter().map(|f| r.frame_id(f)).collect();
-        r.samples.push(ProfSample {
-            clock,
-            pid: cpu.0,
-            tid: cpu.1,
-            frames,
-        });
+        let stack = r.stack_id(frames);
+        let cpu = r.cpu_id(cpu);
+        r.samples.push(ProfSample { clock, cpu, stack });
     });
+}
+
+/// Id of the frame `name` in the live recorder, interning it if new;
+/// `None` when recording is off. Ids stay valid for the rest of the
+/// recording, so callers may memoize them keyed by [`epoch`].
+pub fn intern_frame(name: &str) -> Option<u32> {
+    if !enabled() {
+        return None;
+    }
+    RECORDER.with(|r| r.borrow_mut().as_mut().map(|rec| rec.frame_id(name)))
+}
+
+/// Names of interned frame ids in the live recorder (empty when
+/// recording is off); the inverse of [`intern_frame`].
+pub fn frame_names(ids: &[u32]) -> Vec<String> {
+    RECORDER.with(|r| {
+        r.borrow().as_ref().map_or_else(Vec::new, |rec| {
+            ids.iter()
+                .map(|&i| rec.frame_names[i as usize].clone())
+                .collect()
+        })
+    })
+}
+
+/// Identity of the current recording: unique across every [`enable`] in
+/// the host process, 0 while recording is off. Frame ids from
+/// [`intern_frame`] are valid exactly while it is unchanged.
+#[inline]
+pub fn epoch() -> u64 {
+    EPOCH.with(|e| e.get())
 }
 
 // ---------------------------------------------------------------------
@@ -1588,21 +1672,56 @@ mod tests {
     #[test]
     fn profile_samples_intern_frames() {
         enable(ObsConfig::default());
+        let main = intern_frame("app:main").expect("recording");
+        let start = intern_frame("libc.so:_start").expect("recording");
+        let helper = intern_frame("app:helper").expect("recording");
+        assert_eq!(intern_frame("app:main"), Some(main), "frames intern once");
         set_cpu(1, 1);
-        let stack_a = vec!["app:main".to_string(), "libc.so:_start".to_string()];
-        let stack_b = vec!["app:helper".to_string(), "libc.so:_start".to_string()];
-        profile_sample(100, &stack_a);
-        profile_sample(200, &stack_b);
-        profile_sample(300, &stack_a);
+        profile_stack(100, &[main, start]);
+        profile_stack(200, &[helper, start]);
+        set_cpu(2, 7);
+        profile_stack(300, &[main, start]);
+        set_cpu(1, 1);
+        profile_stack(400, &[main, start]);
+        assert_eq!(frame_names(&[start, main]), ["libc.so:_start", "app:main"]);
         let rec = disable().expect("recorder");
-        assert_eq!(rec.samples.len(), 3);
         assert_eq!(
             rec.frame_names,
             vec!["app:main", "libc.so:_start", "app:helper"]
         );
-        assert_eq!(rec.samples[0].frames, vec![0, 1]);
-        assert_eq!(rec.samples[1].frames, vec![2, 1]);
-        assert_eq!(rec.samples[2].frames, vec![0, 1]);
+        // One entry per sample; equal stacks and CPUs share one id each.
+        let ids: Vec<(u64, u32, u32)> = rec
+            .samples
+            .iter()
+            .map(|s| (s.clock, s.cpu, s.stack))
+            .collect();
+        assert_eq!(ids, [(100, 0, 0), (200, 0, 1), (300, 1, 0), (400, 0, 0)]);
+        assert_eq!(rec.stacks.len(), 2);
+        assert_eq!(rec.stack(0), [main, start]);
+        assert_eq!(rec.stack(1), [helper, start]);
+        assert_eq!(rec.cpus, [(1, 1), (2, 7)]);
+        assert_eq!(rec.cpu(rec.samples[2].cpu), (2, 7));
+        let names: Vec<&str> = rec.sample_frames(&rec.samples[1]).collect();
+        assert_eq!(names, ["app:helper", "libc.so:_start"]);
+    }
+
+    #[test]
+    fn frame_ids_are_scoped_to_one_recording() {
+        assert_eq!(epoch(), 0, "no recording, no epoch");
+        assert_eq!(intern_frame("app:main"), None);
+        enable(ObsConfig::default());
+        let first = epoch();
+        assert_ne!(first, 0);
+        disable();
+        assert_eq!(epoch(), 0);
+        enable(ObsConfig::default());
+        assert_ne!(epoch(), first, "every recording gets a fresh epoch");
+        disable();
+    }
+
+    #[test]
+    fn a_profiler_sample_is_at_most_sixteen_bytes() {
+        assert!(std::mem::size_of::<ProfSample>() <= 16);
     }
 
     #[test]

@@ -58,6 +58,14 @@ tail -n 1 target/HOSTBENCH_connscale.txt | grep -q '"correct": true' || {
     exit 1
 }
 
+echo "==> hostbench instrumented (record, replay-verify and sampling end to end; check every cell's outcome)"
+cargo run --release --offline --quiet --manifest-path hostbench/Cargo.toml -- \
+    --workload instrumented --seconds 1 --trace 0 > target/HOSTBENCH_instrumented.txt
+tail -n 1 target/HOSTBENCH_instrumented.txt | grep -q '"correct": true' || {
+    echo "hostbench instrumented: a cell disagrees with hostbench/outcomes.tsv" >&2
+    exit 1
+}
+
 echo "==> bench gate (simprof vs BENCH_simprof.json, simperf vs BENCH_simperf.json, simaudit vs MATRIX_simaudit.txt, simscale vs BENCH_scale.json)"
 scripts/bench_gate.sh
 

@@ -17,7 +17,6 @@ use pitfalls::fault::{plan_for, run_probe, run_probe_on, Scenario};
 use sim_fault::{FaultKind, FaultPlan, PermFlip, SignalWindow, SyscallFault};
 use sim_kernel::{nr, EngineConfig, RunExit, TraceEntry};
 use sim_loader::boot_kernel;
-use sim_obs::ProfSample;
 use sim_record::Rec;
 use zpoline::{ScanStrategy, Zpoline};
 
@@ -81,10 +80,25 @@ struct MicroRun {
     retired: u64,
     /// Record-session log (empty unless recording was armed).
     log: Vec<Rec>,
-    /// Profiler samples (empty unless observed with the profiler armed).
-    samples: Vec<ProfSample>,
+    /// Profiler samples resolved to `(clock, (pid, tid), frame names)`,
+    /// so runs compare by content rather than by recorder-local ids
+    /// (empty unless observed with the profiler armed).
+    samples: Vec<ResolvedSample>,
     /// Host wall-clock seconds of `Kernel::run`.
     secs: f64,
+}
+
+/// A profiler sample with its CPU and frames resolved.
+type ResolvedSample = (u64, (u64, u64), Vec<String>);
+
+fn resolve_samples(rec: &sim_obs::Recorder) -> Vec<ResolvedSample> {
+    rec.samples
+        .iter()
+        .map(|s| {
+            let frames = rec.sample_frames(s).map(str::to_string).collect();
+            (s.clock, rec.cpu(s.cpu), frames)
+        })
+        .collect()
 }
 
 /// Boots the syscall-500 stress guest; returns the kernel and its pid.
@@ -114,7 +128,9 @@ fn run_micro(cfg: EngineConfig, iters: u64, record: bool, observe: bool) -> Micr
     let t0 = Instant::now();
     let exit = k.run(u64::MAX / 4);
     let secs = t0.elapsed().as_secs_f64();
-    let samples = sim_obs::disable().map(|r| r.samples).unwrap_or_default();
+    let samples = sim_obs::disable()
+        .map(|r| resolve_samples(&r))
+        .unwrap_or_default();
     assert_eq!(exit, RunExit::AllExited);
     MicroRun {
         stream: k.take_exec_trace(),
@@ -245,6 +261,15 @@ fn engine_matrix_streams_identical_with_all_sessions() {
             .fault(plan.clone())
     });
     assert!(o.samples.len() > 100, "too few profiler samples");
+    // The engine comparison covers resolved stacks, not just ids: the
+    // samples must name the guest's own symbols and carry callers.
+    let micro = MICRO_APP.rsplit('/').next().expect("basename");
+    assert!(
+        o.samples
+            .iter()
+            .any(|(_, _, frames)| frames.len() > 1 && frames[0].starts_with(micro)),
+        "no sample resolved a stack inside {micro}"
+    );
     let count = |f: fn(&Rec) -> bool| o.log.iter().filter(|r| f(r)).count();
     assert!(
         count(|r| matches!(r, Rec::Signal { .. })) > 10,

@@ -10,8 +10,9 @@
 use apps::MacroSpec;
 use interpose::Interposer;
 use k23::OfflineSession;
+use sim_isa::Reg;
 use sim_kernel::{EngineConfig, RunExit};
-use sim_loader::boot_kernel;
+use sim_loader::{boot_kernel, ImageBuilder, SimElf, LIBC_PATH};
 use sim_obs::ObsConfig;
 
 const APP: &str = "/usr/bin/ls-sim";
@@ -159,5 +160,83 @@ fn sampling_is_invisible_to_the_guest() {
         assert_eq!(plain, prof_only, "profiler session alone changed the clock");
         assert_eq!(plain, prof_obs, "sampling + recording changed the clock");
         assert!(out.expect("profile").2 > 0, "samples captured");
+    }
+}
+
+const HOP_A: &str = "/usr/bin/exec-hop-a";
+const HOP_B: &str = "/usr/bin/exec-hop-b";
+
+/// A guest that spins in a called function, then execs `next` (a failed
+/// exec returns 0 from `main`). Both images of the execve test come from
+/// it, so they have the same mappings, symbol count and start-up path:
+/// the fresh address space after the exec climbs back through the
+/// generations the old one's profiler caches were keyed by, at another
+/// ASLR slide.
+fn build_exec_hop(name: &str, next: &str) -> SimElf {
+    let mut b = ImageBuilder::new(name);
+    b.entry("main");
+    b.needs(LIBC_PATH);
+    b.asm.label("main");
+    b.asm.call("spin");
+    b.asm.lea_label(Reg::Rdi, "next_path");
+    b.asm.mov_imm(Reg::Rsi, 0);
+    b.asm.mov_imm(Reg::Rdx, 0);
+    b.call_import("execve");
+    b.asm.mov_imm(Reg::Rax, 0);
+    b.asm.ret();
+    b.asm.label("spin");
+    b.asm.mov_imm(Reg::Rcx, 2_000);
+    b.asm.label("spin_loop");
+    b.asm.sub_imm(Reg::Rcx, 1);
+    b.asm.jnz("spin_loop");
+    b.asm.ret();
+    let mut path = next.as_bytes().to_vec();
+    path.push(0);
+    b.data_object("next_path", &path);
+    b.finish()
+}
+
+/// The profiler's per-process caches (executable ranges, address →
+/// frame id memo) must not survive an execve: every sample inside
+/// either image's `spin` names that image's `main` as its caller. A
+/// stale executable-range list drops the caller frame; a stale memo
+/// names the old image. The stale case needs the new image's first
+/// sample to land at the generation the old image's last sample saw,
+/// i.e. no sample during start-up, so several periods are swept. Debug
+/// builds also check every sample against `Kernel::symbolized_stack`.
+#[test]
+fn profiler_caches_are_rebuilt_across_execve() {
+    for period in [5, 64, 97, 128, 200] {
+        let mut k = boot_kernel();
+        build_exec_hop(HOP_A, HOP_B).install(&mut k.vfs);
+        build_exec_hop(HOP_B, "/usr/bin/exec-hop-c").install(&mut k.vfs);
+        let (ip, _) = make("native");
+        k.configure(EngineConfig::new().profile(period));
+        sim_obs::enable(ObsConfig::default());
+        ip.install(&mut k);
+        let pid = ip.spawn(&mut k, HOP_A, &[], &[]).expect("spawn");
+        let exit = k.run(BUDGET);
+        let rec = sim_obs::disable().expect("recorder");
+        assert_eq!(exit, RunExit::AllExited);
+        assert_eq!(k.process(pid).and_then(|p| p.exit_status), Some(0));
+        let mut in_spin = [0u64; 2];
+        for s in &rec.samples {
+            let frames: Vec<&str> = rec.sample_frames(s).collect();
+            for (n, image) in ["exec-hop-a", "exec-hop-b"].into_iter().enumerate() {
+                if frames[0].starts_with(&format!("{image}:spin")) {
+                    assert_eq!(
+                        frames.get(1).copied(),
+                        Some(format!("{image}:main").as_str()),
+                        "period {period}, sample at clock {} in {image}: {frames:?}",
+                        s.clock
+                    );
+                    in_spin[n] += 1;
+                }
+            }
+        }
+        assert!(
+            in_spin.iter().all(|&n| n >= 10),
+            "period {period}: both images sampled: {in_spin:?}"
+        );
     }
 }
